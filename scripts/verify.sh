@@ -3,7 +3,7 @@
 # suite and the project linter, then run the gated bench binaries so every
 # verified tree leaves fresh BENCH_*.json perf artifacts (diffable across
 # PRs with scripts/bench_diff.py).
-# Usage: scripts/verify.sh [--bench] [--tsan] [--asan] [--audit] [--analyze] [--full]
+# Usage: scripts/verify.sh [--bench] [--tsan] [--asan] [--audit] [--analyze] [--gatebench] [--full]
 #   --bench    accepted for compatibility (every bench binary is gated now)
 #   --tsan     builds EVERY test suite with ThreadSanitizer (separate
 #              build-tsan/ tree) and runs the full ctest pass — including
@@ -17,7 +17,13 @@
 #              the checks live
 #   --analyze  clang-tidy over src/ with the checked-in .clang-tidy
 #              (skips gracefully when clang-tidy is not installed)
-#   --full     umbrella: tier-1 + lint + analyze + audit + asan + tsan
+#   --gatebench  self-tests of the end-to-end benchmark
+#              (gatebench/test_gatebench.py: the correctness check fires on
+#              a corrupted answer, percentiles do not sit on gaps); builds
+#              under $CARGO_TARGET_DIR (default .bench_build/) and only
+#              reads gatebench/
+#   --full     umbrella: tier-1 + lint + analyze + audit + asan + tsan +
+#              gatebench
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +32,7 @@ TSAN=OFF
 ASAN=OFF
 AUDIT=OFF
 ANALYZE=OFF
+GATEBENCH=OFF
 for arg in "$@"; do
   case "${arg}" in
     --bench) FULL_BENCH=ON ;;
@@ -33,7 +40,8 @@ for arg in "$@"; do
     --asan) ASAN=ON ;;
     --audit) AUDIT=ON ;;
     --analyze) ANALYZE=ON ;;
-    --full) TSAN=ON; ASAN=ON; AUDIT=ON; ANALYZE=ON ;;
+    --gatebench) GATEBENCH=ON ;;
+    --full) TSAN=ON; ASAN=ON; AUDIT=ON; ANALYZE=ON; GATEBENCH=ON ;;
     *) echo "verify.sh: unknown flag '${arg}'" >&2; exit 2 ;;
   esac
 done
@@ -61,6 +69,18 @@ cmake --build build -j
 # Per-test timeout: a deadlocked condition-variable wait or a runaway
 # sweep fails its one test instead of wedging the whole verification.
 (cd build && ctest --output-on-failure -j --timeout 300)
+
+if [[ "${GATEBENCH}" == "ON" ]]; then
+  # End-to-end benchmark self-tests: every workload must fail on a
+  # corrupted expected answer and pass clean, and no reported percentile
+  # may sit on a gap between item classes. Runs before the bench gates
+  # so a red wall-time gate cannot hide it.
+  if command -v python3 >/dev/null 2>&1; then
+    python3 gatebench/test_gatebench.py
+  else
+    echo "verify.sh: python3 missing; skipping --gatebench" >&2
+  fi
+fi
 
 if [[ "${BENCH}" == "ON" ]]; then
   # Acceptance tables (R-CS / R-BATCH / R-FRONTIER / R-INTRA / R-MAXKT,

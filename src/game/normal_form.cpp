@@ -14,6 +14,14 @@ namespace bnash::game {
 
 namespace {
 std::atomic<std::uint64_t> g_tensor_allocations{0};
+
+std::uint64_t checked_profiles(const std::vector<std::size_t>& action_counts) {
+    if (action_counts.empty()) throw std::invalid_argument("NormalFormGame: no players");
+    for (const std::size_t count : action_counts) {
+        if (count == 0) throw std::invalid_argument("NormalFormGame: player with no actions");
+    }
+    return util::product_size(action_counts);
+}
 }  // namespace
 
 std::uint64_t NormalFormGame::tensor_allocations() noexcept {
@@ -21,14 +29,23 @@ std::uint64_t NormalFormGame::tensor_allocations() noexcept {
 }
 
 NormalFormGame::NormalFormGame(std::vector<std::size_t> action_counts)
-    : action_counts_(std::move(action_counts)) {
-    if (action_counts_.empty()) throw std::invalid_argument("NormalFormGame: no players");
-    for (const std::size_t count : action_counts_) {
-        if (count == 0) throw std::invalid_argument("NormalFormGame: player with no actions");
-    }
-    num_profiles_ = util::product_size(action_counts_);
+    : action_counts_(std::move(action_counts)), num_profiles_(checked_profiles(action_counts_)) {
     payoffs_.assign(num_profiles_ * num_players(), util::Rational{0});
     payoffs_d_.assign(num_profiles_ * num_players(), 0.0);
+    action_labels_.resize(num_players());
+    g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
+}
+
+NormalFormGame::NormalFormGame(std::vector<std::size_t> action_counts,
+                               std::vector<util::Rational> payoffs)
+    : action_counts_(std::move(action_counts)),
+      num_profiles_(checked_profiles(action_counts_)),
+      payoffs_(std::move(payoffs)) {
+    if (payoffs_.size() != num_profiles_ * num_players()) {
+        throw std::invalid_argument("NormalFormGame: payoff table size mismatch");
+    }
+    payoffs_d_.reserve(payoffs_.size());
+    for (const util::Rational& value : payoffs_) payoffs_d_.push_back(value.to_double());
     action_labels_.resize(num_players());
     g_tensor_allocations.fetch_add(1, std::memory_order_relaxed);
 }

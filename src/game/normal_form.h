@@ -24,6 +24,9 @@ class NormalFormGame final {
 public:
     // Creates a game with all payoffs zero; fill via set_payoff.
     explicit NormalFormGame(std::vector<std::size_t> action_counts);
+    // Creates a game from a flat payoff table in payoffs_flat() order
+    // (throws std::invalid_argument when its size does not match).
+    NormalFormGame(std::vector<std::size_t> action_counts, std::vector<util::Rational> payoffs);
 
     // Copies count as tensor allocations (below); moves do not.
     NormalFormGame(const NormalFormGame& other);

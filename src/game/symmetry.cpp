@@ -15,54 +15,38 @@ using util::Rational;
 
 // Exact exchangeability of players i and j on `view`: for every profile
 // a and every player q, u_q(a) == u_{tau(q)}(tau . a) with tau = (i j).
-// One odometer pass over the tensor; the swapped row is the original row
-// with i's and j's cell offsets exchanged.
+// One odometer pass over the tensor, its row offset carried along; the
+// swapped row is the original row with i's and j's cell offsets
+// exchanged. The conditions at a and at tau . a are the same set, so only
+// profiles with a_i <= a_j are checked, and where a_i == a_j (tau . a ==
+// a) only u_i(a) == u_j(a) can fail.
 [[nodiscard]] bool exchangeable(const GameView& view, std::size_t i, std::size_t j) {
     if (view.num_actions(i) != view.num_actions(j)) return false;
     const std::size_t n = view.num_players();
     PureProfile tuple(n, 0);
+    std::uint64_t row = view.row_offset(tuple);
     while (true) {
-        const std::uint64_t row = view.row_offset(tuple);
-        const std::uint64_t swapped = row - view.cell_offset(i, tuple[i]) -
-                                      view.cell_offset(j, tuple[j]) +
-                                      view.cell_offset(i, tuple[j]) +
-                                      view.cell_offset(j, tuple[i]);
-        for (std::size_t q = 0; q < n; ++q) {
-            const std::size_t tq = q == i ? j : (q == j ? i : q);
-            if (!(view.payoff_from(row, q) == view.payoff_from(swapped, tq))) return false;
+        if (tuple[i] == tuple[j]) {
+            if (!(view.payoff_from(row, i) == view.payoff_from(row, j))) return false;
+        } else if (tuple[i] < tuple[j]) {
+            const std::uint64_t swapped = row - view.cell_offset(i, tuple[i]) -
+                                          view.cell_offset(j, tuple[j]) +
+                                          view.cell_offset(i, tuple[j]) +
+                                          view.cell_offset(j, tuple[i]);
+            for (std::size_t q = 0; q < n; ++q) {
+                const std::size_t tq = q == i ? j : (q == j ? i : q);
+                if (!(view.payoff_from(row, q) == view.payoff_from(swapped, tq))) return false;
+            }
         }
         std::size_t d = n;
         while (d-- > 0) {
-            if (++tuple[d] < view.num_actions(d)) break;
-            tuple[d] = 0;
+            const std::size_t was = tuple[d];
+            tuple[d] = was + 1 < view.num_actions(d) ? was + 1 : 0;
+            row += view.cell_offset(d, tuple[d]) - view.cell_offset(d, was);
+            if (tuple[d] != 0) break;
             if (d == 0) return true;
         }
     }
-}
-
-// Cheap pre-filter for detect(): players with different sorted payoff
-// multisets are never exchangeable (their own-payoff multisets must map
-// onto each other under the transposition).
-[[nodiscard]] std::vector<Rational> sorted_payoff_multiset(const GameView& view,
-                                                          std::size_t player) {
-    std::vector<Rational> values;
-    values.reserve(static_cast<std::size_t>(view.num_profiles()));
-    PureProfile tuple(view.num_players(), 0);
-    while (true) {
-        values.push_back(view.payoff(tuple, player));
-        std::size_t d = view.num_players();
-        bool done = true;
-        while (d-- > 0) {
-            if (++tuple[d] < view.num_actions(d)) {
-                done = false;
-                break;
-            }
-            tuple[d] = 0;
-        }
-        if (done) break;
-    }
-    std::sort(values.begin(), values.end());
-    return values;
 }
 
 }  // namespace
@@ -120,17 +104,15 @@ SymmetryGroup SymmetryGroup::declared(std::vector<std::vector<std::size_t>> clas
 }
 
 SymmetryGroup SymmetryGroup::detect(const GameView& view) {
-    const std::size_t n = view.num_players();
+    return detect(view, std::vector<std::size_t>(view.num_players(), 0));
+}
+
+SymmetryGroup SymmetryGroup::detect(const GameView& view, const std::vector<std::size_t>& bucket) {
     std::vector<std::vector<std::size_t>> classes;
-    std::vector<std::vector<Rational>> multisets(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        multisets[p] = sorted_payoff_multiset(view, p);
+    for (std::size_t p = 0; p < view.num_players(); ++p) {
         bool joined = false;
         for (auto& cls : classes) {
-            const std::size_t rep = cls.front();
-            if (view.num_actions(rep) != view.num_actions(p)) continue;
-            if (multisets[rep] != multisets[p]) continue;
-            if (exchangeable(view, rep, p)) {
+            if (bucket[cls.front()] == bucket[p] && exchangeable(view, cls.front(), p)) {
                 cls.push_back(p);
                 joined = true;
                 break;
@@ -179,32 +161,6 @@ bool SymmetryGroup::class_constant(const PureProfile& profile) const {
         }
     }
     return true;
-}
-
-SymmetryGroup SymmetryGroup::refined_by(const ExactMixedProfile& profile) const {
-    if (profile.size() != class_of_.size()) {
-        throw std::invalid_argument("SymmetryGroup: profile size mismatch");
-    }
-    std::vector<std::vector<std::size_t>> refined;
-    for (const auto& cls : classes_) {
-        // Members bucketed by strategy, buckets in first-occurrence order
-        // (members are sorted, so the split is deterministic).
-        std::vector<std::size_t> bucket_of;
-        std::vector<std::vector<std::size_t>> buckets;
-        for (const std::size_t p : cls) {
-            bool placed = false;
-            for (auto& bucket : buckets) {
-                if (profile[bucket.front()] == profile[p]) {
-                    bucket.push_back(p);
-                    placed = true;
-                    break;
-                }
-            }
-            if (!placed) buckets.push_back({p});
-        }
-        for (auto& bucket : buckets) refined.push_back(std::move(bucket));
-    }
-    return declared(std::move(refined), class_of_.size());
 }
 
 // --- quotient ---------------------------------------------------------------

@@ -52,12 +52,19 @@ public:
     // (AnonymousBinaryGame) when no tensor exists.
     [[nodiscard]] static SymmetryGroup declared(std::vector<std::vector<std::size_t>> classes,
                                                 std::size_t num_players);
-    // Payoff-comparison detection on a small tensor-backed view: players
-    // are bucketed by (action count, sorted payoff multiset) and classes
-    // grown by exact transposition checks, so the result is the FINEST
-    // partition whose classes are pairwise exchangeable — maximal and
-    // always verified by construction.
+    // Payoff-comparison detection on a small tensor-backed view: classes
+    // are grown by exact transposition checks (each exits at its first
+    // mismatching payoff), so the result is the coarsest partition whose
+    // classes are pairwise exchangeable — maximal and always verified by
+    // construction.
     [[nodiscard]] static SymmetryGroup detect(const GameView& view);
+    // The same restricted by a pre-filter: players p and q are only
+    // tested when bucket[p] == bucket[q]. Splitting by a necessary
+    // condition (equal payoff multisets) changes nothing; splitting by a
+    // candidate's strategies yields the group refined by that profile,
+    // on which the profile is class-constant.
+    [[nodiscard]] static SymmetryGroup detect(const GameView& view,
+                                              const std::vector<std::size_t>& bucket);
 
     // Star-transposition check of every class against `view`; true iff
     // the declared partition is a symmetry of the game.
@@ -78,13 +85,6 @@ public:
     // precondition for orbit-indexed candidate profiles.
     [[nodiscard]] bool class_constant(const ExactMixedProfile& profile) const;
     [[nodiscard]] bool class_constant(const PureProfile& profile) const;
-
-    // Partition refinement: split classes so members with distinct
-    // strategies part ways. The result is still a symmetry group of any
-    // game this group is a symmetry of (a sub-partition is), and the
-    // profile is class-constant on it by construction — how serve folds
-    // arbitrary candidates.
-    [[nodiscard]] SymmetryGroup refined_by(const ExactMixedProfile& profile) const;
 
 private:
     SymmetryGroup() = default;

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -49,9 +50,16 @@ struct SharedCounters final {
 void serve_connection(int fd, std::uint64_t conn_index, RobustnessServer& server,
                       const SocketFrontOptions& options, const std::atomic<bool>& stop,
                       SharedCounters& counters) {
+    // Replies are coalesced below, so Nagle would only add a delayed-ACK
+    // stall to every write.
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
+
     LineSession session(server);
     std::string buffer;
     std::deque<std::string> pending;
+    // Reply lines not yet written: one send per drained pipeline.
+    std::string replies;
     auto last_byte = std::chrono::steady_clock::now();
 
     const std::optional<std::uint64_t> drop_after =
@@ -59,20 +67,31 @@ void serve_connection(int fd, std::uint64_t conn_index, RobustnessServer& server
     std::uint64_t cols_streamed = 0;
     bool dropped = false;
 
+    const auto flush = [&]() -> bool {
+        const bool sent = send_all(fd, replies);
+        replies.clear();
+        return sent;
+    };
+
     const LineSession::LineSink emit = [&](const std::string& text) -> bool {
-        if (drop_after && !dropped && text.rfind("col ", 0) == 0) {
+        if (dropped) return false;
+        const bool column = text.rfind("col ", 0) == 0;
+        if (drop_after && column) {
             if (cols_streamed >= *drop_after) {
-                // Scheduled mid-stream severance: the client sees the
-                // connection die between column lines.
+                // Scheduled mid-stream severance: the client gets every
+                // reply before this column, then sees the connection die.
                 dropped = true;
                 counters.stream_drops.fetch_add(1, std::memory_order_relaxed);
+                (void)flush();
                 ::shutdown(fd, SHUT_RDWR);
                 return false;
             }
             ++cols_streamed;
         }
-        if (dropped) return false;
-        return send_all(fd, text + "\n");
+        replies += text;
+        replies += '\n';
+        // Streamed columns go out at once so frontier progress is live.
+        return !column || flush();
     };
 
     bool alive = true;
@@ -86,6 +105,7 @@ void serve_connection(int fd, std::uint64_t conn_index, RobustnessServer& server
             if (!session.handle_line(line, emit)) alive = false;
             continue;
         }
+        if (!flush()) break;
         pollfd poll_fd{fd, POLLIN, 0};
         const int ready = ::poll(&poll_fd, 1, kPollTickMs);
         if (ready < 0) {
@@ -94,21 +114,29 @@ void serve_connection(int fd, std::uint64_t conn_index, RobustnessServer& server
         }
         if (ready == 0) {
             if (std::chrono::steady_clock::now() - last_byte >= options.read_deadline) {
-                (void)send_all(fd, "error: read deadline exceeded\n");
+                replies += "error: read deadline exceeded\n";
                 counters.deadline_closes.fetch_add(1, std::memory_order_relaxed);
                 break;
             }
             continue;
         }
-        char chunk[4096];
+        char chunk[16384];
         const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
         if (got <= 0) break;  // EOF or error: peer is gone
         last_byte = std::chrono::steady_clock::now();
         buffer.append(chunk, static_cast<std::size_t>(got));
 
+        // Every extracted line is held to the cap, not just the
+        // unterminated tail: a line whose newline arrives in the chunk
+        // that takes it past the cap is still too long.
+        bool too_long = false;
         std::size_t start = 0;
         for (std::size_t newline = buffer.find('\n', start); newline != std::string::npos;
              newline = buffer.find('\n', start)) {
+            if (newline - start > options.max_line_bytes) {
+                too_long = true;
+                break;
+            }
             std::string line = buffer.substr(start, newline - start);
             if (!line.empty() && line.back() == '\r') line.pop_back();
             pending.push_back(std::move(line));
@@ -116,17 +144,18 @@ void serve_connection(int fd, std::uint64_t conn_index, RobustnessServer& server
         }
         buffer.erase(0, start);
 
-        if (buffer.size() > options.max_line_bytes) {
-            (void)send_all(fd, "error: line too long\n");
+        if (too_long || buffer.size() > options.max_line_bytes) {
+            replies += "error: line too long\n";
             counters.pipeline_closes.fetch_add(1, std::memory_order_relaxed);
             break;
         }
         if (pending.size() > options.max_pipeline) {
-            (void)send_all(fd, "error: pipeline overflow\n");
+            replies += "error: pipeline overflow\n";
             counters.pipeline_closes.fetch_add(1, std::memory_order_relaxed);
             break;
         }
     }
+    (void)flush();
     ::close(fd);
 }
 

@@ -22,10 +22,19 @@
 //   pin the front past shutdown; connections over `max_connections`
 //   are answered `error: too many connections` and closed at accept.
 //
-// Frontier streaming works over the socket exactly as over stdin: the
-// `col` lines go out as the sweep resolves columns, so a long grid
-// query shows progress before the terminal `done`/`degraded` line. A
-// FaultSchedule (options.faults) can sever a chosen connection after a
+// Replies are coalesced: a connection's reply lines collect in one
+// buffer that is written with a single send once its queue of pipelined
+// commands runs empty (and before a close or a scheduled stream drop).
+// Every accepted socket sets TCP_NODELAY, so that write goes out at once
+// instead of waiting on Nagle's algorithm for the client's delayed ACK
+// (about 40 ms per request when a client pipelines a request's lines in
+// one write). The per-line cap is checked on every extracted line as
+// well as on the unterminated tail.
+//
+// Frontier streaming works over the socket exactly as over stdin: each
+// `col` line flushes the buffer as the sweep resolves its column, so a
+// long grid query shows progress before the terminal `done`/`degraded`
+// line. A FaultSchedule (options.faults) can sever a chosen connection after a
 // chosen number of streamed columns to rehearse client-visible
 // mid-stream failure.
 #pragma once

@@ -86,13 +86,10 @@ void LineSession::handle_payoffs(const std::vector<std::string>& args) {
         throw std::invalid_argument("payoffs: expected " + std::to_string(expected) +
                                     " values, got " + std::to_string(args.size()));
     }
-    std::size_t next = 0;
-    for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
-        const game::PureProfile profile = game.profile_unrank(rank);
-        for (std::size_t player = 0; player < game.num_players(); ++player) {
-            game.set_payoff(profile, player, parse_rational(args[next++]));
-        }
-    }
+    std::vector<util::Rational> values;
+    values.reserve(expected);
+    for (const std::string& token : args) values.push_back(parse_rational(token));
+    game = game::NormalFormGame(game.action_counts(), std::move(values));
 }
 
 void LineSession::handle_profile(const std::vector<std::string>& args) {

@@ -17,12 +17,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -33,7 +36,9 @@
 
 #include "core/robust/robustness.h"
 #include "game/catalog.h"
+#include "game/game_view.h"
 #include "game/normal_form.h"
+#include "game/symmetry.h"
 #include "serve/canonical.h"
 #include "serve/fault_schedule.h"
 #include "serve/server.h"
@@ -174,6 +179,160 @@ TEST(Canonical, SymmetricGamesFoldToOrbitSizedKeys) {
     const NormalFormGame plain = asymmetric_game();
     EXPECT_EQ(canonical_signature(plain, pure(plain, {0, 0})).bytes.find(":sym:"),
               std::string::npos);
+}
+
+// `game` with players relabeled (new player j is old player perm[j]) and
+// each player's payoffs mapped by a random positive affine map; the
+// candidate follows its player. Every (k,t) verdict is unchanged.
+std::pair<NormalFormGame, game::ExactMixedProfile> relabel_and_rescale(
+    const NormalFormGame& game, const game::ExactMixedProfile& profile, util::Rng& rng) {
+    const std::size_t n = game.num_players();
+    std::vector<std::size_t> perm(n);
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    rng.shuffle(perm);
+    std::vector<std::size_t> counts(n);
+    game::ExactMixedProfile moved(n);
+    std::vector<Rational> scale(n);
+    std::vector<Rational> shift(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        counts[j] = game.num_actions(perm[j]);
+        moved[j] = profile[perm[j]];
+        scale[j] = Rational(static_cast<std::int64_t>(1 + rng.next_below(4)),
+                            static_cast<std::int64_t>(1 + rng.next_below(3)));
+        shift[j] = Rational(rng.next_int(-5, 5), static_cast<std::int64_t>(1 + rng.next_below(2)));
+    }
+    NormalFormGame out(counts);
+    PureProfile old(n);
+    for (std::uint64_t rank = 0; rank < out.num_profiles(); ++rank) {
+        const PureProfile cell = out.profile_unrank(rank);
+        for (std::size_t j = 0; j < n; ++j) old[perm[j]] = cell[j];
+        for (std::size_t j = 0; j < n; ++j) {
+            out.set_payoff(cell, j, game.payoff(old, perm[j]) * scale[j] + shift[j]);
+        }
+    }
+    return {std::move(out), std::move(moved)};
+}
+
+// True when no two players agree on (action count, strategy, sorted
+// multiset of [0,1]-normalized payoffs): the relabeling-invariant player
+// order is then total, so equivalent uploads must share one key.
+bool players_untied(const NormalFormGame& game, const game::ExactMixedProfile& profile) {
+    std::set<std::pair<game::ExactMixedStrategy, std::vector<Rational>>> seen;
+    for (std::size_t player = 0; player < game.num_players(); ++player) {
+        std::vector<Rational> values;
+        for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+            values.push_back(game.payoff_at(rank, player));
+        }
+        const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+        const Rational min = *lo;
+        const Rational span = *hi - *lo;
+        for (Rational& value : values) value = span.is_zero() ? Rational(0) : (value - min) / span;
+        std::sort(values.begin(), values.end());
+        if (!seen.emplace(profile[player], std::move(values)).second) return false;
+    }
+    return true;
+}
+
+// Every (k,t) verdict with k + t < n.
+std::vector<bool> verdict_grid(const NormalFormGame& game,
+                               const game::ExactMixedProfile& profile) {
+    core::RobustnessOptions options;
+    options.mode = game::SweepMode::kSerial;
+    std::vector<bool> grid;
+    for (std::size_t k = 0; k < game.num_players(); ++k) {
+        for (std::size_t t = 0; k + t < game.num_players(); ++t) {
+            grid.push_back(core::is_kt_robust(game, profile, k, t, options));
+        }
+    }
+    return grid;
+}
+
+TEST(Canonical, MetamorphicRelabelAndRescale) {
+    util::Rng rng(0xCA70);
+    struct Case final {
+        std::string label;
+        NormalFormGame game;
+        game::ExactMixedProfile profile;
+        bool symmetric = false;  // every player in one symmetry class
+    };
+    std::vector<Case> cases;
+    for (int i = 0; i < 24; ++i) {
+        const std::size_t n = 3 + rng.next_below(4);
+        std::vector<std::size_t> counts(n);
+        for (auto& count : counts) count = 2 + rng.next_below(2);
+        NormalFormGame game(counts);
+        const bool fractional = i % 2 == 1;
+        for (std::uint64_t rank = 0; rank < game.num_profiles(); ++rank) {
+            const PureProfile cell = game.profile_unrank(rank);
+            for (std::size_t player = 0; player < n; ++player) {
+                const std::int64_t den =
+                    fractional ? static_cast<std::int64_t>(1 + rng.next_below(4)) : 1;
+                game.set_payoff(cell, player, Rational(rng.next_int(-9, 9), den));
+            }
+        }
+        PureProfile candidate(n);
+        for (std::size_t player = 0; player < n; ++player) {
+            candidate[player] = rng.next_below(counts[player]);
+        }
+        const auto profile = pure(game, candidate);
+        cases.push_back({"random#" + std::to_string(i), std::move(game), profile});
+    }
+    for (std::size_t n = 4; n <= 8; ++n) {
+        for (int which = 0; which < 2; ++which) {
+            NormalFormGame game = which == 0 ? game::catalog::attack_coordination_game(n)
+                                             : game::catalog::gnutella_sharing_game(n);
+            PureProfile candidate(n);
+            for (auto& action : candidate) action = rng.next_below(2);
+            const auto profile = pure(game, candidate);
+            cases.push_back({(which == 0 ? "attack" : "gnutella") + std::to_string(n),
+                             std::move(game), profile, true});
+        }
+    }
+
+    std::map<std::string, std::vector<bool>> verdicts_by_key;
+    std::size_t must_match = 0;
+    for (const Case& c : cases) {
+        if (c.symmetric) {
+            ASSERT_EQ(game::SymmetryGroup::detect(game::GameView::full(c.game)).num_classes(), 1u)
+                << c.label;
+        }
+        const auto [copy, copy_profile] = relabel_and_rescale(c.game, c.profile, rng);
+        const CanonicalSignature original = canonical_signature(c.game, c.profile);
+        const CanonicalSignature relabeled = canonical_signature(copy, copy_profile);
+        EXPECT_TRUE(original.normalized) << c.label;
+        // A symmetric game's classes split only by strategy, and classes
+        // with distinct strategies are never tied.
+        if (c.symmetric || players_untied(c.game, c.profile)) {
+            ++must_match;
+            EXPECT_EQ(original.bytes, relabeled.bytes) << c.label;
+        }
+        // Equal keys imply equal verdicts, whichever upload the entry
+        // came from.
+        const auto record = [&](const CanonicalSignature& sig, const NormalFormGame& g,
+                                const game::ExactMixedProfile& profile) {
+            const std::vector<bool> grid = verdict_grid(g, profile);
+            const auto [entry, fresh] = verdicts_by_key.emplace(sig.bytes, grid);
+            if (!fresh) EXPECT_EQ(entry->second, grid) << c.label;
+        };
+        record(original, c.game, c.profile);
+        record(relabeled, copy, copy_profile);
+    }
+    // The random draws must exercise the untied branch, not skip it.
+    EXPECT_GE(must_match, cases.size() / 2);
+
+    // Normalization that does not fit 64 bits falls back to the raw
+    // payoffs, tagged so raw and normalized keys never collide.
+    const std::int64_t big = std::int64_t{1} << 62;
+    NormalFormGame huge({2, 2});
+    huge.set_payoff({0, 0}, 0, Rational(-big, 3));
+    huge.set_payoff({1, 1}, 0, Rational(big, 5));
+    huge.set_payoff({0, 1}, 1, Rational(1, 2147483647));
+    const auto huge_profile = pure(huge, {0, 0});
+    const CanonicalSignature raw = canonical_signature(huge, huge_profile);
+    EXPECT_FALSE(raw.normalized);
+    EXPECT_NE(raw.bytes.find(":raw:"), std::string::npos);
+    EXPECT_EQ(raw.bytes, canonical_signature(huge, huge_profile).bytes);
+    EXPECT_NE(raw.bytes, canonical_signature(huge, pure(huge, {1, 0})).bytes);
 }
 
 // ----------------------------------------------------------- verdict cache
@@ -1344,6 +1503,72 @@ TEST(SocketFront, ScheduledStreamDropSeversMidFrontier) {
     EXPECT_FALSE(client.read_line(std::chrono::seconds(10)).has_value());
     harness.stop();
     EXPECT_EQ(harness.stats().stream_drops, 1u);
+}
+
+TEST(SocketFront, PipelinedRequestsDoNotWaitForDelayedAcks) {
+    RobustnessServer server;
+    SocketHarness harness(server);
+    TestClient client(harness.port());
+    ASSERT_TRUE(client.connected());
+    std::string request;
+    const char* lines[] = {"game 2 2 2", "payoffs 3 3 -5 5 5 -5 -3 -3", "profile 1 1",
+                           "ask 1 0"};
+    for (const char* line : lines) request += std::string(line) + "\n";
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(client.send_raw(request));
+        for (int ok = 0; ok < 3; ++ok) {
+            const auto reply = client.read_line();
+            ASSERT_TRUE(reply.has_value());
+            ASSERT_EQ(*reply, "ok");
+        }
+        const auto verdict = client.read_line();
+        ASSERT_TRUE(verdict.has_value());
+        EXPECT_NE(verdict->find("verdict=robust"), std::string::npos) << *verdict;
+    }
+    // One send per reply line with Nagle on would hold each request's
+    // later replies for the client's delayed ACK (about 40 ms): 20
+    // requests would need at least 800 ms.
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(400));
+}
+
+TEST(SocketFront, StreamDropStillDeliversRepliesBufferedBeforeTheFirstColumn) {
+    RobustnessServer server;
+    FaultSchedule faults;
+    faults.drop_stream_after(0, 0);  // first connection: cut at the first column
+    SocketFrontOptions options;
+    options.faults = &faults;
+    SocketHarness harness(server, options);
+    TestClient client(harness.port());
+    ASSERT_TRUE(client.connected());
+    std::string burst;
+    for (const char* line : kPdSetup) burst += std::string(line) + "\n";
+    ASSERT_TRUE(client.send_raw(burst + "frontier 1 1\n"));
+    for (std::size_t i = 0; i < std::size(kPdSetup); ++i) {
+        const auto reply = client.read_line();
+        ASSERT_TRUE(reply.has_value());
+        EXPECT_EQ(*reply, "ok");
+    }
+    EXPECT_FALSE(client.read_line(std::chrono::seconds(10)).has_value());
+    harness.stop();
+    EXPECT_EQ(harness.stats().stream_drops, 1u);
+}
+
+TEST(SocketFront, OverlongLineIsRejectedWhenItsNewlineArrivesPastTheCap) {
+    RobustnessServer server;
+    SocketHarness harness(server);
+    TestClient client(harness.port());
+    ASSERT_TRUE(client.connected());
+    // One write: the newline lands in the chunk that takes the line past
+    // the cap, so only a per-line check catches it. The front may close
+    // before the tail is sent, so the write's outcome is not asserted.
+    (void)client.send_raw(std::string((std::size_t{1} << 16) + 100, 'x') + "\n");
+    const auto reply = client.read_line(std::chrono::seconds(10));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(*reply, "error: line too long");
+    EXPECT_FALSE(client.read_line(std::chrono::seconds(5)).has_value());
+    harness.stop();
+    EXPECT_EQ(harness.stats().pipeline_closes, 1u);
 }
 
 TEST(SocketFront, OverCapacityConnectionsAreTurnedAway) {

@@ -302,15 +302,25 @@ TEST(SymmetryGroupTest, DetectFindsDeclaredStructureAndVerifies) {
     }
 }
 
-TEST(SymmetryGroupTest, RefinedBySplitsOnStrategies) {
-    const SymmetryGroup group = SymmetryGroup::single_class(4);
+TEST(SymmetryGroupTest, DetectWithBucketsSplitsOnStrategies) {
+    // One class of four: payoffs depend on own action and the action sum.
+    util::Rng rng{7202};
+    const SymmetryGroup single = SymmetryGroup::single_class(4);
+    const QuotientGame quotient = random_quotient(rng, {4}, {2});
+    const NormalFormGame g = expand_quotient(quotient, single);
+    const GameView view = GameView::full(g);
+    ASSERT_EQ(SymmetryGroup::detect(view).num_classes(), 1u);
+
+    // Bucketing players by a candidate's strategies refines the group,
+    // and the candidate is class-constant on the result.
     ExactMixedProfile profile(4);
     for (std::size_t i = 0; i < 4; ++i) {
         profile[i] = game::ExactMixedStrategy{Rational{i < 2 ? 1 : 0}, Rational{i < 2 ? 0 : 1}};
     }
-    EXPECT_FALSE(group.class_constant(profile));
-    const SymmetryGroup refined = group.refined_by(profile);
+    EXPECT_FALSE(single.class_constant(profile));
+    const SymmetryGroup refined = SymmetryGroup::detect(view, {0, 0, 1, 1});
     EXPECT_EQ(refined.num_classes(), 2u);
+    EXPECT_TRUE(refined.verify(view));
     EXPECT_TRUE(refined.class_constant(profile));
     EXPECT_EQ(refined.class_of(0), refined.class_of(1));
     EXPECT_EQ(refined.class_of(2), refined.class_of(3));
