@@ -206,6 +206,19 @@ void bench_routed_frontier(benchmark::State& state) {
 }
 BENCHMARK(bench_routed_frontier)->Arg(8)->Arg(10)->Unit(benchmark::kMicrosecond);
 
+// Symmetry detection alone on the materialized attack(n) tensor: the
+// step in front of every routed orbit sweep, which reads each of the
+// n * 2^n payoffs once.
+void bench_detect(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const game::NormalFormGame g = core::AnonymousBinaryGame::attack(n).to_normal_form();
+    const game::GameView view = game::GameView::full(g);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(game::SymmetryGroup::detect(view));
+    }
+}
+BENCHMARK(bench_detect)->Arg(8)->Arg(10)->Arg(12)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -44,6 +43,124 @@ using util::Rational;
             tuple[d] = was + 1 < view.num_actions(d) ? was + 1 : 0;
             row += view.cell_offset(d, tuple[d]) - view.cell_offset(d, was);
             if (tuple[d] != 0) break;
+            if (d == 0) return true;
+        }
+    }
+}
+
+// Greedy class-building by transposition checks: each player joins the
+// first class whose representative shares its bucket and is exchangeable
+// with it. Exchangeability is transitive (conjugating transpositions), so
+// the result is exact; it costs one tensor walk per join.
+[[nodiscard]] std::vector<std::vector<std::size_t>> greedy_classes(
+    const GameView& view, const std::vector<std::size_t>& bucket) {
+    std::vector<std::vector<std::size_t>> classes;
+    for (std::size_t p = 0; p < view.num_players(); ++p) {
+        bool joined = false;
+        for (auto& cls : classes) {
+            if (bucket[cls.front()] == bucket[p] && exchangeable(view, cls.front(), p)) {
+                cls.push_back(p);
+                joined = true;
+                break;
+            }
+        }
+        if (!joined) classes.push_back({p});
+    }
+    return classes;
+}
+
+// The coarsest partition detection could return: players grouped on
+// (bucket, action count), classes ordered by smallest member, members
+// ascending — the order greedy_classes produces.
+[[nodiscard]] std::vector<std::vector<std::size_t>> candidate_classes(
+    const GameView& view, const std::vector<std::size_t>& bucket) {
+    std::vector<std::vector<std::size_t>> classes;
+    for (std::size_t p = 0; p < view.num_players(); ++p) {
+        const auto same = [&](const std::vector<std::size_t>& cls) {
+            return bucket[cls.front()] == bucket[p] &&
+                   view.num_actions(cls.front()) == view.num_actions(p);
+        };
+        const auto it = std::find_if(classes.begin(), classes.end(), same);
+        if (it == classes.end()) {
+            classes.push_back({p});
+        } else {
+            it->push_back(p);
+        }
+    }
+    return classes;
+}
+
+// The one-pass symmetry check. `classes` partitions the players, each
+// class sharing one action count. The partition is a symmetry iff every
+// payoff u_i(a) is a function of (class of i, a_i, per-class action
+// histograms of a); that function is read off at the histogram's SORTED
+// representative a*, in which each class's members, ascending, take the
+// histogram's actions ascending. The class-c member of a* standing for
+// player i is the first slot of a_i's block, so the whole check is
+// u_i(a) == u_rep(a*) for every profile a and player i: n compares per
+// profile, exiting at the first mismatch, with no table beyond the tensor.
+//
+// a*'s row offset is carried with the odometer. Per class, block[a] is
+// the first slot playing action >= a. A digit stepping x -> x+1 moves one
+// boundary down (the last slot of x's block now plays x+1); a wrap
+// k-1 -> 0 is k-1 single steps the other way. Each step changes one slot.
+[[nodiscard]] bool histogram_symmetric(const GameView& view,
+                                       const std::vector<std::vector<std::size_t>>& classes) {
+    const std::size_t n = view.num_players();
+    std::vector<std::size_t> slot_player;  // classes concatenated
+    std::vector<std::size_t> block;        // per class: k + 1 block starts
+    std::vector<std::size_t> block_of(n);  // player -> its class's block base
+    slot_player.reserve(n);
+    for (const auto& cls : classes) {
+        const std::size_t first = slot_player.size();
+        const std::size_t actions = view.num_actions(cls.front());
+        for (const std::size_t p : cls) {
+            slot_player.push_back(p);
+            block_of[p] = block.size();
+        }
+        block.push_back(first);
+        block.insert(block.end(), actions, first + cls.size());
+    }
+    PureProfile tuple(n, 0);
+    std::uint64_t row = view.row_offset(tuple);
+    std::uint64_t star = row;  // the all-zero profile is its own representative
+    // Slot q of a* switches from action `from` to `to`.
+    const auto move_slot = [&](std::size_t q, std::size_t from, std::size_t to) {
+        const std::size_t p = slot_player[q];
+        star += view.cell_offset(p, to) - view.cell_offset(p, from);
+    };
+    while (true) {
+#if BNASH_AUDIT_ENABLED
+        {
+            PureProfile sorted(n, 0);
+            for (const auto& cls : classes) {
+                std::vector<std::size_t> actions;
+                for (const std::size_t p : cls) actions.push_back(tuple[p]);
+                std::sort(actions.begin(), actions.end());
+                for (std::size_t s = 0; s < cls.size(); ++s) sorted[cls[s]] = actions[s];
+            }
+            BNASH_AUDIT_CHECK(star == view.row_offset(sorted),
+                              "histogram_symmetric: carried representative row diverged "
+                              "from the sorted profile's row");
+        }
+#endif
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t rep = slot_player[block[block_of[i] + tuple[i]]];
+            if (!(view.payoff_from(row, i) == view.payoff_from(star, rep))) return false;
+        }
+        std::size_t d = n;
+        while (d-- > 0) {
+            const std::size_t was = tuple[d];
+            std::size_t* const starts = &block[block_of[d]];
+            if (was + 1 < view.num_actions(d)) {
+                tuple[d] = was + 1;
+                row += view.cell_offset(d, was + 1) - view.cell_offset(d, was);
+                move_slot(--starts[was + 1], was, was + 1);
+                break;
+            }
+            tuple[d] = 0;
+            row += view.cell_offset(d, 0) - view.cell_offset(d, was);
+            for (std::size_t a = was; a > 0; --a) move_slot(starts[a]++, a, a - 1);
             if (d == 0) return true;
         }
     }
@@ -108,20 +225,16 @@ SymmetryGroup SymmetryGroup::detect(const GameView& view) {
 }
 
 SymmetryGroup SymmetryGroup::detect(const GameView& view, const std::vector<std::size_t>& bucket) {
-    std::vector<std::vector<std::size_t>> classes;
-    for (std::size_t p = 0; p < view.num_players(); ++p) {
-        bool joined = false;
-        for (auto& cls : classes) {
-            if (bucket[cls.front()] == bucket[p] && exchangeable(view, cls.front(), p)) {
-                cls.push_back(p);
-                joined = true;
-                break;
-            }
-        }
-        if (!joined) classes.push_back({p});
-    }
     SymmetryGroup group;
-    group.classes_ = std::move(classes);
+    group.classes_ = candidate_classes(view, bucket);
+    if (group.classes_.size() == view.num_players() ||
+        histogram_symmetric(view, group.classes_)) {
+        BNASH_AUDIT_CHECK(group.classes_ == greedy_classes(view, bucket),
+                          "SymmetryGroup::detect: one-pass classes differ from the "
+                          "greedy transposition path");
+    } else {
+        group.classes_ = greedy_classes(view, bucket);
+    }
     group.index_classes();
     return group;
 }
@@ -129,11 +242,11 @@ SymmetryGroup SymmetryGroup::detect(const GameView& view, const std::vector<std:
 bool SymmetryGroup::verify(const GameView& view) const {
     if (class_of_.size() != view.num_players()) return false;
     for (const auto& cls : classes_) {
-        for (std::size_t i = 1; i < cls.size(); ++i) {
-            if (!exchangeable(view, cls.front(), cls[i])) return false;
+        for (const std::size_t p : cls) {
+            if (view.num_actions(p) != view.num_actions(cls.front())) return false;
         }
     }
-    return true;
+    return is_trivial() || histogram_symmetric(view, classes_);
 }
 
 bool SymmetryGroup::is_trivial() const noexcept {

@@ -4,13 +4,16 @@
 // A partition of the players into CLASSES is a symmetry of the game when
 // every within-class transposition tau satisfies
 //     u_{tau(i)}(tau . a) = u_i(a)   for every player i and profile a.
-// Transpositions of one class generate the class's full symmetric group,
-// and checking the STAR transpositions (rep, member) suffices — that is
-// what verify() does, and what detect() uses pairwise (exchangeability
-// is transitive under conjugation, so greedy class-building is exact).
-//
-// The payoff of a class-c player then depends only on its own action and
-// on HOW MANY players of each class play each action. build_quotient()
+// Equivalently, the payoff of a class-c player depends only on its own
+// action and on HOW MANY players of each class play each action (the
+// per-class histogram). verify() and detect() check exactly that, in one
+// odometer pass over the tensor: every payoff u_i(a) is compared with
+// the payoff at the histogram's sorted representative profile, so each
+// of the n * |tensor| payoffs is read once. detect() checks the coarsest
+// candidate — players grouped on (bucket, action count) — and only when
+// that fails falls back to growing classes by pairwise transposition
+// checks (exchangeability is transitive under conjugation, so the greedy
+// path is exact too, at one tensor walk per join). build_quotient()
 // tabulates exactly those representative payoffs: for each (class, own
 // action), one entry per util::OrbitWalker orbit of the OTHER players'
 // per-class action histograms. The quotient determines the full game up
@@ -52,22 +55,27 @@ public:
     // (AnonymousBinaryGame) when no tensor exists.
     [[nodiscard]] static SymmetryGroup declared(std::vector<std::vector<std::size_t>> classes,
                                                 std::size_t num_players);
-    // Payoff-comparison detection on a small tensor-backed view: classes
-    // are grown by exact transposition checks (each exits at its first
-    // mismatching payoff), so the result is the coarsest partition whose
-    // classes are pairwise exchangeable — maximal and always verified by
-    // construction.
+    // Payoff-comparison detection on a small tensor-backed view: the
+    // coarsest partition whose classes are pairwise exchangeable —
+    // maximal and always verified. One histogram pass checks the
+    // candidate grouping by action count (the whole answer for a
+    // symmetric game); a mismatch exits that pass early and the classes
+    // are grown by exact transposition checks instead. Classes ordered by
+    // smallest member, members ascending, whichever path answers.
     [[nodiscard]] static SymmetryGroup detect(const GameView& view);
     // The same restricted by a pre-filter: players p and q are only
-    // tested when bucket[p] == bucket[q]. Splitting by a necessary
+    // grouped when bucket[p] == bucket[q] (the candidate groups on
+    // (bucket, action count)). Splitting by a necessary
     // condition (equal payoff multisets) changes nothing; splitting by a
     // candidate's strategies yields the group refined by that profile,
     // on which the profile is class-constant.
     [[nodiscard]] static SymmetryGroup detect(const GameView& view,
                                               const std::vector<std::size_t>& bucket);
 
-    // Star-transposition check of every class against `view`; true iff
-    // the declared partition is a symmetry of the game.
+    // One histogram pass over `view` (every payoff against its sorted
+    // representative, exiting at the first mismatch); true iff the
+    // partition is a symmetry of the game. Classes mixing action counts
+    // fail at once.
     [[nodiscard]] bool verify(const GameView& view) const;
 
     [[nodiscard]] std::size_t num_players() const noexcept { return class_of_.size(); }

@@ -22,34 +22,55 @@ std::int64_t narrow_checked(Int128 value) {
 
 Int128 abs128(Int128 value) { return value < 0 ? -value : value; }
 
+constexpr Int128 kMaxUint64 = std::numeric_limits<std::uint64_t>::max();
+
+// Euclid on magnitudes. 128-bit `%` is a library call that costs more
+// than a 64-bit divide, so it runs only while an operand is wider than 64
+// bits; every int64 magnitude, INT64_MIN's 2^63 included, fits the
+// 64-bit finish.
 Int128 gcd128(Int128 a, Int128 b) {
     a = abs128(a);
     b = abs128(b);
-    while (b != 0) {
+    while (a > kMaxUint64 || b > kMaxUint64) {
+        if (b == 0) return a;
         const Int128 r = a % b;
         a = b;
         b = r;
     }
-    return a;
+    auto x = static_cast<std::uint64_t>(a);
+    auto y = static_cast<std::uint64_t>(b);
+    while (y != 0) {
+        const std::uint64_t r = x % y;
+        x = y;
+        y = r;
+    }
+    return x;
+}
+
+// num/den in lowest terms with a positive denominator, written to
+// out_num/out_den only once both parts are known to fit (a throw leaves
+// them untouched). den must be nonzero.
+void reduce_into(Int128 num, Int128 den, std::int64_t& out_num, std::int64_t& out_den) {
+    if (den < 0) {
+        num = -num;
+        den = -den;
+    }
+    const Int128 g = gcd128(num, den);
+    if (g > 1) {
+        num /= g;
+        den /= g;
+    }
+    const std::int64_t reduced_num = narrow_checked(num);
+    const std::int64_t reduced_den = narrow_checked(den);
+    out_num = reduced_num;
+    out_den = reduced_den;
 }
 
 }  // namespace
 
 Rational::Rational(std::int64_t num, std::int64_t den) {
     if (den == 0) throw std::invalid_argument("Rational: zero denominator");
-    Int128 n = num;
-    Int128 d = den;
-    if (d < 0) {
-        n = -n;
-        d = -d;
-    }
-    const Int128 g = gcd128(n, d);
-    if (g > 1) {
-        n /= g;
-        d /= g;
-    }
-    num_ = narrow_checked(n);
-    den_ = narrow_checked(d);
+    reduce_into(num, den, num_, den_);
 }
 
 Rational Rational::from_double(double value, std::int64_t max_den) {
@@ -97,41 +118,24 @@ Rational Rational::reciprocal() const {
     return Rational{den_, num_};
 }
 
-namespace {
-
-Rational make_reduced(Int128 num, Int128 den) {
-    if (den < 0) {
-        num = -num;
-        den = -den;
-    }
-    const Int128 g = gcd128(num, den);
-    if (g > 1) {
-        num /= g;
-        den /= g;
-    }
-    return Rational{narrow_checked(num), narrow_checked(den)};
-}
-
-}  // namespace
-
 Rational& Rational::operator+=(const Rational& rhs) {
     const Int128 num = Int128{num_} * rhs.den_ + Int128{rhs.num_} * den_;
     const Int128 den = Int128{den_} * rhs.den_;
-    *this = make_reduced(num, den);
+    reduce_into(num, den, num_, den_);
     return *this;
 }
 
 Rational& Rational::operator-=(const Rational& rhs) {
     const Int128 num = Int128{num_} * rhs.den_ - Int128{rhs.num_} * den_;
     const Int128 den = Int128{den_} * rhs.den_;
-    *this = make_reduced(num, den);
+    reduce_into(num, den, num_, den_);
     return *this;
 }
 
 Rational& Rational::operator*=(const Rational& rhs) {
     const Int128 num = Int128{num_} * rhs.num_;
     const Int128 den = Int128{den_} * rhs.den_;
-    *this = make_reduced(num, den);
+    reduce_into(num, den, num_, den_);
     return *this;
 }
 
@@ -139,7 +143,7 @@ Rational& Rational::operator/=(const Rational& rhs) {
     if (rhs.num_ == 0) throw std::domain_error("Rational: division by zero");
     const Int128 num = Int128{num_} * rhs.den_;
     const Int128 den = Int128{den_} * rhs.num_;
-    *this = make_reduced(num, den);
+    reduce_into(num, den, num_, den_);
     return *this;
 }
 

@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/robust/anonymous.h"
@@ -325,6 +327,173 @@ TEST(SymmetryGroupTest, DetectWithBucketsSplitsOnStrategies) {
     EXPECT_EQ(refined.class_of(0), refined.class_of(1));
     EXPECT_EQ(refined.class_of(2), refined.class_of(3));
     EXPECT_NE(refined.class_of(0), refined.class_of(2));
+}
+
+// ------------------------------------- detection against its definition
+
+// Definitional exchangeability of players i and j: the transposition
+// tau = (i j) maps every player's payoff at every profile onto tau's
+// image, u_q(a) == u_{tau(q)}(tau . a), checked with no shortcut.
+bool oracle_exchangeable(const NormalFormGame& g, std::size_t i, std::size_t j) {
+    if (g.num_actions(i) != g.num_actions(j)) return false;
+    for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+        const PureProfile a = g.profile_unrank(rank);
+        PureProfile swapped = a;
+        std::swap(swapped[i], swapped[j]);
+        for (std::size_t q = 0; q < g.num_players(); ++q) {
+            const std::size_t tq = q == i ? j : (q == j ? i : q);
+            if (g.payoff(a, q) != g.payoff(swapped, tq)) return false;
+        }
+    }
+    return true;
+}
+
+// The brute-force pairwise relation (restricted to equal buckets) and
+// its classes, ordered by smallest member with members ascending.
+std::vector<std::vector<std::size_t>> oracle_classes(const NormalFormGame& g,
+                                                     const std::vector<std::size_t>& bucket) {
+    const std::size_t n = g.num_players();
+    std::vector<std::vector<bool>> related(n, std::vector<bool>(n, false));
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            related[i][j] = i == j || (bucket[i] == bucket[j] && oracle_exchangeable(g, i, j));
+        }
+    }
+    std::vector<std::vector<std::size_t>> classes;
+    std::vector<bool> placed(n, false);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (placed[i]) continue;
+        classes.emplace_back();
+        for (std::size_t j = i; j < n; ++j) {
+            if (!related[i][j]) continue;
+            classes.back().push_back(j);
+            placed[j] = true;
+            // The relation is an equivalence: transpositions compose.
+            for (std::size_t k = 0; k < n; ++k) {
+                EXPECT_EQ(related[j][k], related[i][k]) << "oracle relation not transitive";
+            }
+        }
+    }
+    return classes;
+}
+
+// A partition is a symmetry iff every pair inside every class is
+// exchangeable (transpositions generate each class's symmetric group).
+bool oracle_verify(const NormalFormGame& g, const SymmetryGroup& group) {
+    for (const auto& cls : group.classes()) {
+        for (std::size_t x = 0; x < cls.size(); ++x) {
+            for (std::size_t y = x + 1; y < cls.size(); ++y) {
+                if (!oracle_exchangeable(g, cls[x], cls[y])) return false;
+            }
+        }
+    }
+    return true;
+}
+
+// detect() must return exactly the oracle's classes in the oracle's
+// order, and verify() must agree with the oracle on the generating
+// group, the detected one, and groups that claim too much.
+void expect_detect_matches_oracle(const NormalFormGame& g, const SymmetryGroup& declared,
+                                  const std::vector<std::size_t>& bucket,
+                                  const std::string& label) {
+    const GameView view = GameView::full(g);
+    const std::size_t n = g.num_players();
+    const SymmetryGroup detected = SymmetryGroup::detect(view, bucket);
+    ASSERT_EQ(detected.classes(), oracle_classes(g, bucket)) << label;
+    EXPECT_TRUE(detected.verify(view)) << label;
+
+    std::vector<SymmetryGroup> claims{declared, SymmetryGroup::single_class(n),
+                                      SymmetryGroup::trivial(n)};
+    // Each class merged with the next, and player 0 moved into the next
+    // class: coarser or shifted claims the oracle mostly rejects.
+    const auto& classes = declared.classes();
+    for (std::size_t c = 0; c + 1 < classes.size(); ++c) {
+        std::vector<std::vector<std::size_t>> merged = classes;
+        merged[c].insert(merged[c].end(), merged[c + 1].begin(), merged[c + 1].end());
+        merged.erase(merged.begin() + static_cast<std::ptrdiff_t>(c) + 1);
+        claims.push_back(SymmetryGroup::declared(merged, n));
+    }
+    if (classes.size() > 1 && classes[0].size() > 1) {
+        std::vector<std::vector<std::size_t>> shifted = classes;
+        shifted[1].push_back(shifted[0].front());
+        shifted[0].erase(shifted[0].begin());
+        claims.push_back(SymmetryGroup::declared(shifted, n));
+    }
+    for (std::size_t k = 0; k < claims.size(); ++k) {
+        EXPECT_EQ(claims[k].verify(view), oracle_verify(g, claims[k])) << label << " claim " << k;
+    }
+}
+
+// Flip one payoff of game `g` by +1.
+NormalFormGame perturbed(const NormalFormGame& g, std::uint64_t rank, std::size_t player) {
+    NormalFormGame out = g;
+    const PureProfile a = g.profile_unrank(rank);
+    out.set_payoff(a, player, g.payoff(a, player) + Rational{1});
+    return out;
+}
+
+TEST(SymmetryDetectOracle, SeededQuotientGamesMatchPairwiseDefinition) {
+    util::Rng rng{9014};
+    for (int trial = 0; trial < 36; ++trial) {
+        const std::size_t n = 3 + static_cast<std::size_t>(trial % 5);
+        std::vector<std::size_t> sizes;
+        const SymmetryGroup declared = random_group(rng, n, sizes);
+        std::vector<std::size_t> actions(sizes.size());
+        for (auto& a : actions) a = 2 + static_cast<std::size_t>(rng.next_int(0, 1));
+        // Seven players at three actions each is the largest tensor here.
+        const NormalFormGame g = expand_quotient(random_quotient(rng, sizes, actions), declared);
+
+        std::vector<std::size_t> bucket(n, 0);
+        if (trial % 3 == 1) {
+            for (std::size_t i = 0; i < n; ++i) bucket[i] = declared.class_of(i);
+        } else if (trial % 3 == 2) {
+            for (std::size_t i = 0; i < n; ++i) bucket[i] = rng.next_below(2);
+        }
+        const std::string label = "trial " + std::to_string(trial);
+        expect_detect_matches_oracle(g, declared, bucket, label);
+
+        // One payoff off: at a random profile, and at the last profile in
+        // odometer order, each for a member of a non-singleton class.
+        std::vector<std::size_t> shared;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (declared.classes()[declared.class_of(i)].size() > 1) shared.push_back(i);
+        }
+        if (shared.empty()) continue;
+        const std::size_t who = shared[rng.next_below(shared.size())];
+        expect_detect_matches_oracle(perturbed(g, rng.next_below(g.num_profiles()), who),
+                                     declared, bucket, label + " random cell");
+        expect_detect_matches_oracle(perturbed(g, g.num_profiles() - 1, who), declared, bucket,
+                                     label + " last cell");
+    }
+}
+
+TEST(SymmetryDetectOracle, EveryPayoffIsChecked) {
+    // Every (profile, player) cell perturbed in turn, on a two-class game
+    // with mixed action counts and on a single class: a check that skips
+    // any profile or any player accepts a group the oracle rejects.
+    util::Rng rng{9015};
+    const SymmetryGroup two = SymmetryGroup::declared({{0, 2}, {1, 3}}, 4);
+    const SymmetryGroup one = SymmetryGroup::single_class(4);
+    const std::vector<std::pair<SymmetryGroup, std::vector<std::size_t>>> cases{
+        {two, {3, 2}}, {one, {2}}};
+    for (const auto& [declared, actions] : cases) {
+        std::vector<std::size_t> sizes;
+        for (const auto& cls : declared.classes()) sizes.push_back(cls.size());
+        const NormalFormGame g = expand_quotient(random_quotient(rng, sizes, actions), declared);
+        const std::vector<std::size_t> bucket(4, 0);
+        for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+            for (std::size_t player = 0; player < 4; ++player) {
+                const NormalFormGame bent = perturbed(g, rank, player);
+                const std::string label =
+                    "classes " + std::to_string(declared.num_classes()) + " cell " +
+                    std::to_string(rank) + "/" + std::to_string(player);
+                ASSERT_FALSE(declared.verify(GameView::full(bent))) << label;
+                ASSERT_EQ(SymmetryGroup::detect(GameView::full(bent), bucket).classes(),
+                          oracle_classes(bent, bucket))
+                    << label;
+            }
+        }
+    }
 }
 
 // -------------------------------------------- orbit payoff entry points

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/combinatorics.h"
 #include "util/matrix.h"
@@ -105,6 +109,89 @@ TEST_P(RationalFieldProperty, AxiomsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RationalFieldProperty,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+// Reduction with 128-bit Euclid throughout, then the int64 range check:
+// the definition the 64-bit gcd fast path must reproduce bit for bit.
+// nullopt means RationalOverflow.
+__extension__ typedef __int128 Int128;
+
+std::optional<std::pair<std::int64_t, std::int64_t>> reference_reduce(Int128 num, Int128 den) {
+    if (den < 0) {
+        num = -num;
+        den = -den;
+    }
+    Int128 a = num < 0 ? -num : num;
+    Int128 b = den;
+    while (b != 0) {
+        const Int128 r = a % b;
+        a = b;
+        b = r;
+    }
+    if (a > 1) {
+        num /= a;
+        den /= a;
+    }
+    const Int128 lo = std::numeric_limits<std::int64_t>::min();
+    const Int128 hi = std::numeric_limits<std::int64_t>::max();
+    if (num < lo || num > hi || den < lo || den > hi) return std::nullopt;
+    return std::make_pair(static_cast<std::int64_t>(num), static_cast<std::int64_t>(den));
+}
+
+TEST(Rational, FastGcdPathMatchesWideReduction) {
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const std::vector<std::int64_t> special{0,        1,         -1,        2,
+                                            -2,       kMin,      kMin + 1,  kMax,
+                                            kMax - 1, 1LL << 32, -(1LL << 32), 1LL << 62,
+                                            -(1LL << 62), 3037000499LL, -3037000500LL};
+    Rng rng{0x6CD};
+    const auto draw = [&]() -> std::int64_t {
+        switch (rng.next_below(3)) {
+            case 0: return special[rng.next_below(special.size())];
+            case 1: return rng.next_int(-40, 40);
+            default: {
+                // Any bit width, so products straddle the 64-bit boundary.
+                const auto value = static_cast<std::int64_t>(rng.next_u64() >> rng.next_below(64));
+                return rng.next_bool() ? value : -value;
+            }
+        }
+    };
+    const auto draw_nonzero = [&] {
+        std::int64_t value = 0;
+        while (value == 0) value = draw();
+        return value;
+    };
+    // Checks `make()` against reference_reduce(num, den); returns the
+    // value when one was made.
+    std::size_t overflows = 0, int64_min_results = 0;
+    const auto check = [&](Int128 num, Int128 den, const auto& make) -> std::optional<Rational> {
+        const auto expected = reference_reduce(num, den);
+        if (!expected) {
+            EXPECT_THROW((void)make(), RationalOverflow);
+            ++overflows;
+            return std::nullopt;
+        }
+        const Rational got = make();
+        EXPECT_EQ(got.num(), expected->first);
+        EXPECT_EQ(got.den(), expected->second);
+        if (got.num() == kMin) ++int64_min_results;
+        return got;
+    };
+    for (int trial = 0; trial < 20000; ++trial) {
+        const std::int64_t n1 = draw(), d1 = draw_nonzero(), n2 = draw(), d2 = draw_nonzero();
+        const auto x = check(n1, d1, [&] { return Rational(n1, d1); });
+        const auto y = check(n2, d2, [&] { return Rational(n2, d2); });
+        if (!x || !y) continue;
+        const Int128 xn = x->num(), xd = x->den(), yn = y->num(), yd = y->den();
+        check(xn * yd + yn * xd, xd * yd, [&] { return *x + *y; });
+        check(xn * yd - yn * xd, xd * yd, [&] { return *x - *y; });
+        check(xn * yn, xd * yd, [&] { return *x * *y; });
+        if (!y->is_zero()) check(xn * yd, xd * yn, [&] { return *x / *y; });
+    }
+    // The corpus must reach both edges the fast path has to get right.
+    EXPECT_GT(overflows, 100u);
+    EXPECT_GT(int64_min_results, 10u);
+}
 
 // --------------------------------------------------------------------- Rng
 
