@@ -21,6 +21,8 @@
 
 #include <cmath>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "bench_json.h"
 #include "core/robust/anonymous.h"
@@ -31,6 +33,8 @@
 #include "game/strategy.h"
 #include "game/symmetry.h"
 #include "util/execution_grant.h"
+#include "util/rational.h"
+#include "util/rng.h"
 #include "util/table.h"
 #include "util/work_counters.h"
 
@@ -218,6 +222,65 @@ void bench_detect(benchmark::State& state) {
     }
 }
 BENCHMARK(bench_detect)->Arg(8)->Arg(10)->Arg(12)->Unit(benchmark::kMicrosecond);
+
+// n two-action players with seeded payoffs, exchangeable in players 0 and
+// 1 only. `late` changes u_0 at the last profile, where the pair's payoffs
+// must agree, so every check on the pair fails only there.
+game::NormalFormGame pair_exchangeable_game(std::size_t n, bool late) {
+    util::Rng rng{n};
+    game::NormalFormGame g(std::vector<std::size_t>(n, 2));
+    for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
+        const game::PureProfile a = g.profile_unrank(rank);
+        if (a[0] > a[1]) continue;
+        game::PureProfile swapped = a;
+        std::swap(swapped[0], swapped[1]);
+        for (std::size_t q = 0; q < n; ++q) {
+            const util::Rational value{rng.next_int(-50, 50)};
+            g.set_payoff(a, q, value);
+            g.set_payoff(swapped, q < 2 ? 1 - q : q, value);
+        }
+    }
+    if (late) {
+        const game::PureProfile last(n, 1);
+        g.set_payoff(last, 0, g.payoff(last, 0) + util::Rational{1});
+    }
+    return g;
+}
+
+// Detection with the pair bucketed together and every other player on
+// its own, as serve's canonical key buckets two tied players: a candidate
+// with a single join, passing (late = 0) or failing at the last profile.
+void bench_detect_pair(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const game::NormalFormGame g = pair_exchangeable_game(n, state.range(1) != 0);
+    const game::GameView view = game::GameView::full(g);
+    std::vector<std::size_t> bucket(n);
+    for (std::size_t p = 0; p < n; ++p) bucket[p] = p == 1 ? 0 : p;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(game::SymmetryGroup::detect(view, bucket));
+    }
+}
+BENCHMARK(bench_detect_pair)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({12, 0})
+    ->Args({12, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+// attack(n) with u_{n-1} changed at the last profile: a candidate with
+// n - 1 joins whose one-pass check fails only at the end, so the greedy
+// transposition path runs after a nearly full pass.
+void bench_detect_late(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    game::NormalFormGame g = core::AnonymousBinaryGame::attack(n).to_normal_form();
+    const game::PureProfile last(n, 1);
+    g.set_payoff(last, n - 1, g.payoff(last, n - 1) + util::Rational{1});
+    const game::GameView view = game::GameView::full(g);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(game::SymmetryGroup::detect(view));
+    }
+}
+BENCHMARK(bench_detect_late)->Arg(8)->Arg(12)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

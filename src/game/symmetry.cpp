@@ -48,39 +48,18 @@ using util::Rational;
     }
 }
 
-// Greedy class-building by transposition checks: each player joins the
-// first class whose representative shares its bucket and is exchangeable
-// with it. Exchangeability is transitive (conjugating transpositions), so
-// the result is exact; it costs one tensor walk per join.
-[[nodiscard]] std::vector<std::vector<std::size_t>> greedy_classes(
-    const GameView& view, const std::vector<std::size_t>& bucket) {
+// Players grouped in index order: each joins the first class whose front
+// shares its bucket and passes `joins(front, p)`, else opens a new class.
+// Classes come out ordered by smallest member with members ascending, the
+// order both detection paths (and so the canonical keys) rely on.
+template <typename Joins>
+[[nodiscard]] std::vector<std::vector<std::size_t>> group_players(
+    const GameView& view, const std::vector<std::size_t>& bucket, Joins joins) {
     std::vector<std::vector<std::size_t>> classes;
     for (std::size_t p = 0; p < view.num_players(); ++p) {
-        bool joined = false;
-        for (auto& cls : classes) {
-            if (bucket[cls.front()] == bucket[p] && exchangeable(view, cls.front(), p)) {
-                cls.push_back(p);
-                joined = true;
-                break;
-            }
-        }
-        if (!joined) classes.push_back({p});
-    }
-    return classes;
-}
-
-// The coarsest partition detection could return: players grouped on
-// (bucket, action count), classes ordered by smallest member, members
-// ascending — the order greedy_classes produces.
-[[nodiscard]] std::vector<std::vector<std::size_t>> candidate_classes(
-    const GameView& view, const std::vector<std::size_t>& bucket) {
-    std::vector<std::vector<std::size_t>> classes;
-    for (std::size_t p = 0; p < view.num_players(); ++p) {
-        const auto same = [&](const std::vector<std::size_t>& cls) {
-            return bucket[cls.front()] == bucket[p] &&
-                   view.num_actions(cls.front()) == view.num_actions(p);
-        };
-        const auto it = std::find_if(classes.begin(), classes.end(), same);
+        const auto it = std::find_if(classes.begin(), classes.end(), [&](const auto& cls) {
+            return bucket[cls.front()] == bucket[p] && joins(cls.front(), p);
+        });
         if (it == classes.end()) {
             classes.push_back({p});
         } else {
@@ -88,6 +67,26 @@ using util::Rational;
         }
     }
     return classes;
+}
+
+// Greedy class-building by transposition checks: each player joins the
+// first class whose representative shares its bucket and is exchangeable
+// with it. Exchangeability is transitive (conjugating transpositions), so
+// the result is exact; it costs one tensor walk per join.
+[[nodiscard]] std::vector<std::vector<std::size_t>> greedy_classes(
+    const GameView& view, const std::vector<std::size_t>& bucket) {
+    return group_players(view, bucket, [&view](std::size_t rep, std::size_t p) {
+        return exchangeable(view, rep, p);
+    });
+}
+
+// The coarsest partition detection could return: players grouped on
+// (bucket, action count).
+[[nodiscard]] std::vector<std::vector<std::size_t>> candidate_classes(
+    const GameView& view, const std::vector<std::size_t>& bucket) {
+    return group_players(view, bucket, [&view](std::size_t rep, std::size_t p) {
+        return view.num_actions(rep) == view.num_actions(p);
+    });
 }
 
 // The one-pass symmetry check. `classes` partitions the players, each
@@ -225,15 +224,23 @@ SymmetryGroup SymmetryGroup::detect(const GameView& view) {
 }
 
 SymmetryGroup SymmetryGroup::detect(const GameView& view, const std::vector<std::size_t>& bucket) {
+    // The histogram pass costs n compares per profile whatever the
+    // candidate; the greedy path costs one transposition walk, about
+    // (n/4 + 1/2) compares per profile with two actions, per join. Below
+    // this many joins the greedy path is the cheaper one (measured break-
+    // even: 3-4 joins with two actions, 3 with three, at n = 6-12).
+    constexpr std::size_t kHistogramJoins = 4;
     SymmetryGroup group;
     group.classes_ = candidate_classes(view, bucket);
-    if (group.classes_.size() == view.num_players() ||
-        histogram_symmetric(view, group.classes_)) {
+    const std::size_t joins = view.num_players() - group.classes_.size();
+    if (joins >= kHistogramJoins && histogram_symmetric(view, group.classes_)) {
         BNASH_AUDIT_CHECK(group.classes_ == greedy_classes(view, bucket),
                           "SymmetryGroup::detect: one-pass classes differ from the "
                           "greedy transposition path");
-    } else {
+    } else if (joins > 0) {
         group.classes_ = greedy_classes(view, bucket);
+        BNASH_AUDIT_CHECK(histogram_symmetric(view, group.classes_),
+                          "SymmetryGroup::detect: greedy classes fail the one-pass check");
     }
     group.index_classes();
     return group;

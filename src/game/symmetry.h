@@ -9,11 +9,13 @@
 // per-class histogram). verify() and detect() check exactly that, in one
 // odometer pass over the tensor: every payoff u_i(a) is compared with
 // the payoff at the histogram's sorted representative profile, so each
-// of the n * |tensor| payoffs is read once. detect() checks the coarsest
-// candidate — players grouped on (bucket, action count) — and only when
-// that fails falls back to growing classes by pairwise transposition
-// checks (exchangeability is transitive under conjugation, so the greedy
-// path is exact too, at one tensor walk per join). build_quotient()
+// of the n * |tensor| payoffs is read once. detect() groups players on
+// (bucket, action count) into the coarsest candidate; when that candidate
+// has at least four joins it checks it in that pass, and when it has
+// fewer, or the check fails, it grows classes by pairwise transposition
+// checks instead (exchangeability is transitive under conjugation, so the
+// greedy path is exact too, at one tensor walk per join, each about a
+// quarter of a full pass with two actions). build_quotient()
 // tabulates exactly those representative payoffs: for each (class, own
 // action), one entry per util::OrbitWalker orbit of the OTHER players'
 // per-class action histograms. The quotient determines the full game up
@@ -57,10 +59,11 @@ public:
                                                 std::size_t num_players);
     // Payoff-comparison detection on a small tensor-backed view: the
     // coarsest partition whose classes are pairwise exchangeable —
-    // maximal and always verified. One histogram pass checks the
-    // candidate grouping by action count (the whole answer for a
-    // symmetric game); a mismatch exits that pass early and the classes
-    // are grown by exact transposition checks instead. Classes ordered by
+    // maximal and always verified. A candidate grouping by action count
+    // with at least four joins is checked by one histogram pass (the
+    // whole answer for a symmetric game); with fewer joins, or when a
+    // mismatch exits that pass, the classes are grown by exact
+    // transposition checks, which cost less per join. Classes ordered by
     // smallest member, members ascending, whichever path answers.
     [[nodiscard]] static SymmetryGroup detect(const GameView& view);
     // The same restricted by a pre-filter: players p and q are only

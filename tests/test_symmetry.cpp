@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -432,8 +433,19 @@ NormalFormGame perturbed(const NormalFormGame& g, std::uint64_t rank, std::size_
     return out;
 }
 
+// Joins in detect()'s candidate: players minus distinct (bucket, action
+// count) groups. detect() routes on this count, so the tests below keep
+// games on both sides of its threshold.
+std::size_t candidate_joins(const NormalFormGame& g, const std::vector<std::size_t>& bucket) {
+    std::set<std::pair<std::size_t, std::size_t>> groups;
+    for (std::size_t i = 0; i < g.num_players(); ++i) groups.insert({bucket[i], g.num_actions(i)});
+    return g.num_players() - groups.size();
+}
+
 TEST(SymmetryDetectOracle, SeededQuotientGamesMatchPairwiseDefinition) {
     util::Rng rng{9014};
+    std::size_t few_joins = 0;
+    std::size_t many_joins = 0;
     for (int trial = 0; trial < 36; ++trial) {
         const std::size_t n = 3 + static_cast<std::size_t>(trial % 5);
         std::vector<std::size_t> sizes;
@@ -450,6 +462,7 @@ TEST(SymmetryDetectOracle, SeededQuotientGamesMatchPairwiseDefinition) {
             for (std::size_t i = 0; i < n; ++i) bucket[i] = rng.next_below(2);
         }
         const std::string label = "trial " + std::to_string(trial);
+        ++(candidate_joins(g, bucket) >= 4 ? many_joins : few_joins);
         expect_detect_matches_oracle(g, declared, bucket, label);
 
         // One payoff off: at a random profile, and at the last profile in
@@ -465,27 +478,31 @@ TEST(SymmetryDetectOracle, SeededQuotientGamesMatchPairwiseDefinition) {
         expect_detect_matches_oracle(perturbed(g, g.num_profiles() - 1, who), declared, bucket,
                                      label + " last cell");
     }
+    EXPECT_GE(few_joins, 5u);
+    EXPECT_GE(many_joins, 5u);
 }
 
 TEST(SymmetryDetectOracle, EveryPayoffIsChecked) {
     // Every (profile, player) cell perturbed in turn, on a two-class game
-    // with mixed action counts and on a single class: a check that skips
-    // any profile or any player accepts a group the oracle rejects.
+    // with mixed action counts and on single classes below and at
+    // detect()'s join threshold: a check that skips any profile or any
+    // player accepts a group the oracle rejects.
     util::Rng rng{9015};
     const SymmetryGroup two = SymmetryGroup::declared({{0, 2}, {1, 3}}, 4);
-    const SymmetryGroup one = SymmetryGroup::single_class(4);
     const std::vector<std::pair<SymmetryGroup, std::vector<std::size_t>>> cases{
-        {two, {3, 2}}, {one, {2}}};
+        {two, {3, 2}}, {SymmetryGroup::single_class(4), {2}}, {SymmetryGroup::single_class(5), {2}}};
     for (const auto& [declared, actions] : cases) {
         std::vector<std::size_t> sizes;
         for (const auto& cls : declared.classes()) sizes.push_back(cls.size());
         const NormalFormGame g = expand_quotient(random_quotient(rng, sizes, actions), declared);
-        const std::vector<std::size_t> bucket(4, 0);
+        const std::size_t n = g.num_players();
+        const std::vector<std::size_t> bucket(n, 0);
         for (std::uint64_t rank = 0; rank < g.num_profiles(); ++rank) {
-            for (std::size_t player = 0; player < 4; ++player) {
+            for (std::size_t player = 0; player < n; ++player) {
                 const NormalFormGame bent = perturbed(g, rank, player);
                 const std::string label =
-                    "classes " + std::to_string(declared.num_classes()) + " cell " +
+                    std::to_string(n) + " players, classes " +
+                    std::to_string(declared.num_classes()) + " cell " +
                     std::to_string(rank) + "/" + std::to_string(player);
                 ASSERT_FALSE(declared.verify(GameView::full(bent))) << label;
                 ASSERT_EQ(SymmetryGroup::detect(GameView::full(bent), bucket).classes(),
