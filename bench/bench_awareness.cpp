@@ -95,9 +95,6 @@ BENCHMARK(bench_canonical_equivalence)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_figure1_sweep();
-    print_virtual_move_sweep();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_awareness.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_awareness.json", print_figure1_sweep,
+                                        print_virtual_move_sweep);
 }

@@ -163,8 +163,5 @@ BENCHMARK(bench_dolev_strong)
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_tables();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_byzantine.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_byzantine.json", print_tables);
 }

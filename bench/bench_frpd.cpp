@@ -123,9 +123,6 @@ BENCHMARK(bench_frpd_analysis)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond)
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_equilibrium_region();
-    print_tournament();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_frpd.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_frpd.json", print_equilibrium_region,
+                                        print_tournament);
 }

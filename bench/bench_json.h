@@ -8,6 +8,8 @@
 //   - CounterScope: attaches the work-counter deltas of a timing loop to
 //     the JSON row — ONE definition so the gated cells_visited /
 //     offsets_advanced metrics stay comparable across bench binaries.
+//   - run_bench_main: every bench binary's main — acceptance tables
+//     unless a --benchmark_filter narrows the run, then the timed rows.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -85,6 +87,24 @@ inline void initialize_with_json_output(int argc, char** argv, const char* defau
     for (auto& arg : storage) args.push_back(arg.data());
     int injected_argc = static_cast<int>(args.size());
     benchmark::Initialize(&injected_argc, args.data());
+}
+
+// The whole main of a bench binary: prints the acceptance tables (in
+// argument order), then initializes google-benchmark with the JSON
+// output injected and runs the rows the flags select. A run given
+// --benchmark_filter skips the tables — it asked for specific timed rows,
+// and some tables (the dense 12-player frontiers) take minutes. Row names
+// and the unfiltered output are unchanged.
+template <typename... Printers>
+int run_bench_main(int argc, char** argv, const char* default_path, Printers&&... printers) {
+    bool filtered = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) filtered = true;
+    }
+    if (!filtered) (printers(), ...);
+    initialize_with_json_output(argc, argv, default_path);
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
 }
 
 }  // namespace bnash::bench

@@ -136,10 +136,6 @@ void print_sparse_utility_comparison() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_primality_table();
-    print_roshambo_table();
-    print_sparse_utility_comparison();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_machine.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_machine.json", print_primality_table,
+                                        print_roshambo_table, print_sparse_utility_comparison);
 }

@@ -249,10 +249,7 @@ void print_sweep_vs_naive() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_feasibility_frontier();
-    print_cheap_talk_costs();
-    print_sweep_vs_naive();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_mediator.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_mediator.json",
+                                        print_feasibility_frontier, print_cheap_talk_costs,
+                                        print_sweep_vs_naive);
 }

@@ -259,8 +259,5 @@ BENCHMARK(bench_sweep_threaded_1m)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_tables();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_payoff_engine.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_payoff_engine.json", print_tables);
 }

@@ -798,14 +798,9 @@ BENCHMARK(bench_punishment_search)->DenseRange(3, 7)->Unit(benchmark::kMilliseco
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_tables();
-    print_coalition_sweep_acceptance();
-    print_batch_resilience_acceptance();
-    print_frontier_acceptance();
-    print_intra_split_acceptance();
-    print_max_kt_acceptance();
-    print_view_elimination_comparison();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_robustness.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_robustness.json", print_tables,
+                                        print_coalition_sweep_acceptance,
+                                        print_batch_resilience_acceptance,
+                                        print_frontier_acceptance, print_intra_split_acceptance,
+                                        print_max_kt_acceptance, print_view_elimination_comparison);
 }

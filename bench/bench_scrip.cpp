@@ -129,9 +129,6 @@ BENCHMARK(bench_mixed_population)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_money_supply_curve();
-    print_irrational_types();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_scrip.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_scrip.json", print_money_supply_curve,
+                                        print_irrational_types);
 }

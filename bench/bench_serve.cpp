@@ -276,7 +276,5 @@ BENCHMARK(bench_canonical_key)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_serve.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_serve.json");
 }

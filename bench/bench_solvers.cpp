@@ -118,8 +118,5 @@ BENCHMARK(bench_pure_nash_enumeration)->DenseRange(2, 10)->Unit(benchmark::kMill
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_tables();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_solvers.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_solvers.json", print_tables);
 }

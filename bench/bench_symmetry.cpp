@@ -285,9 +285,7 @@ BENCHMARK(bench_detect_late)->Arg(8)->Arg(12)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-    print_orbit_vs_dense_acceptance();
-    print_budget_wall_acceptance();
-    bnash::bench::initialize_with_json_output(argc, argv, "BENCH_symmetry.json");
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return bnash::bench::run_bench_main(argc, argv, "BENCH_symmetry.json",
+                                        print_orbit_vs_dense_acceptance,
+                                        print_budget_wall_acceptance);
 }

@@ -38,6 +38,12 @@ Rules (ids are stable; waivers reference them):
   include-hygiene    No "../" relative-up includes, no <bits/...>, every
                      quoted include resolves under src/, and foo.cpp's
                      first include is its own header when one exists.
+  twin-overload      No header declares a function whose first parameter
+                     is `const NormalFormGame&` when the same header and
+                     scope (namespace, class) also declare that name with
+                     a GameView first parameter: a NormalFormGame converts
+                     to its identity view, so the twin is dead weight. The
+                     reference:: and naive:: oracles are exempt.
 
 Waivers bind to the flagged line: same line, or one of the three lines
 directly above it. The reason is mandatory — `// lint: no-charge()`
@@ -68,6 +74,7 @@ RULE_DOCS = {
     "no-stdout": "no stdout writes in library code (waiver: stdout-ok)",
     "header-guard": "headers open with #pragma once",
     "include-hygiene": "includes resolve under src/, no ../ or <bits/>",
+    "twin-overload": "no NormalFormGame twin of a GameView entry point in one header scope",
 }
 
 WAIVER_OF_RULE = {
@@ -111,6 +118,14 @@ class Finding:
         }
 
 
+def _is_digit_separator(text, i):
+    """True when the quote at text[i] sits inside a number (100'000)."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_'."):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def strip_comments_and_strings(text):
     """Blank out comments, string and char literals, preserving offsets.
 
@@ -147,6 +162,8 @@ def strip_comments_and_strings(text):
                 if out[k] != "\n":
                     out[k] = " "
             i = j + len(closer)
+        elif ch == "'" and _is_digit_separator(text, i):
+            i += 1
         elif ch in "\"'":
             quote, j = ch, i + 1
             while j < n and text[j] != quote:
@@ -485,6 +502,50 @@ def check_include_hygiene(unit, findings, src_root):
                 "header stays self-contained"))
 
 
+# A declaration's name and its first parameter's type, when that type is
+# a (possibly qualified, possibly const) NormalFormGame or GameView.
+FIRST_PARAM_RE = re.compile(
+    r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(const\s+)?(?:::)?(?:[A-Za-z_]\w*\s*::\s*)*"
+    r"(NormalFormGame|GameView)\b\s*(const\b\s*)?(&&|&)?")
+TWIN_EXEMPT_NAMESPACES = ("reference", "naive")
+
+
+def declaration_scope(unit, offset):
+    """Enclosing namespace/class names of `offset`, outermost first."""
+    chain = [b for b in unit.blocks
+             if b.start < offset and b.end is not None and offset <= b.end]
+    chain.sort(key=lambda b: b.start)
+    return tuple((b.kind, b.name) for b in chain if b.kind in ("namespace", "class"))
+
+
+def check_twin_overload(unit, findings):
+    if not unit.rel.endswith(".h"):
+        return
+    game_first = {}  # (scope, name) -> offsets of const NormalFormGame& declarations
+    view_first = set()
+    for match in FIRST_PARAM_RE.finditer(unit.stripped):
+        name, const, kind, trailing_const, ref = match.groups()
+        scope = declaration_scope(unit, match.start())
+        if any(kind_ == "namespace" and ns in TWIN_EXEMPT_NAMESPACES
+               for kind_, ns in scope):
+            continue
+        key = (scope, name)
+        if kind == "GameView":
+            view_first.add(key)
+        elif (const or trailing_const) and ref == "&":
+            game_first.setdefault(key, []).append(match.start())
+    for key, offsets in sorted(game_first.items(), key=lambda item: item[1][0]):
+        if key not in view_first:
+            continue
+        for offset in offsets:
+            findings.append(Finding(
+                "twin-overload", unit.rel, line_of(unit.stripped, offset),
+                f"'{key[1]}' takes const NormalFormGame& first while the same "
+                "scope declares it with a GameView first parameter; a "
+                "NormalFormGame converts to its identity view, so delete "
+                "this twin", key[1]))
+
+
 def lint_tree(src_root):
     findings = []
     for path in sorted(src_root.rglob("*")):
@@ -498,6 +559,7 @@ def lint_tree(src_root):
         check_no_stdout(unit, findings)
         check_header_guard(unit, findings)
         check_include_hygiene(unit, findings, src_root)
+        check_twin_overload(unit, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

@@ -18,7 +18,6 @@ namespace {
 
 using game::ExactMixedProfile;
 using game::GameView;
-using game::NormalFormGame;
 using game::PureProfile;
 using util::Rational;
 
@@ -523,9 +522,6 @@ void CoalitionSweep::set_intra_split_force(bool force) noexcept {
 bool CoalitionSweep::intra_split_force() noexcept {
     return g_intra_split_force.load(std::memory_order_relaxed);
 }
-
-CoalitionSweep::CoalitionSweep(const NormalFormGame& game, const ExactMixedProfile& profile)
-    : CoalitionSweep(GameView::full(game), profile) {}
 
 CoalitionSweep::CoalitionSweep(GameView view, const ExactMixedProfile& profile)
     : view_(std::move(view)), profile_(&profile), pure_(as_pure_profile(profile)) {
@@ -1059,7 +1055,7 @@ std::vector<Rational> CoalitionSweep::immunity_baseline() const {
     } else {
         // One shared support sweep for ALL players (the per-player
         // fallback ran n of them).
-        baseline = game::expected_payoffs_exact_sparse(view_, *profile_);
+        baseline = game::PayoffEngine(view_).expected_payoffs_exact_sparse(*profile_);
     }
     return baseline;
 }

@@ -29,10 +29,11 @@
 // the reported violation is the first in enumeration order, bit-
 // identical to the serial nested scan.
 //
-// The sweep is VIEW-NATIVE: it walks a game::GameView's cell-offset
-// tables, so the full game (an identity view), an iterated-elimination
-// reduction, or an awareness-restricted slice are all checked zero-copy —
-// no restricted tensor is ever materialized. Enumeration order is
+// The sweep is VIEW-NATIVE: it takes a game::GameView (a NormalFormGame
+// converts to its identity view) and walks the view's cell-offset
+// tables, so the full game, an iterated-elimination reduction, or an
+// awareness-restricted slice are all checked zero-copy — no restricted
+// tensor is ever materialized. Enumeration order is
 // identical to the PR-1 reference checkers in every mode.
 //
 // Mixed (non-point-mass) candidates run SUPPORT-SPARSE coalition scans: a
@@ -66,12 +67,9 @@ public:
     static constexpr std::uint64_t kIntraBlock = std::uint64_t{1} << 11;
     static constexpr std::uint64_t kDefaultIntraSplitCells = std::uint64_t{1} << 13;
 
-    // The profile must be a valid exact mixed profile for `game`; both
-    // must outlive the sweep.
-    CoalitionSweep(const game::NormalFormGame& game, const game::ExactMixedProfile& profile);
-
-    // View-native: the profile lives in VIEW action space and the sweep
-    // reads the parent tensor through the view's cell offsets. The view's
+    // The profile must be a valid exact mixed profile in VIEW action
+    // space; the sweep reads the parent tensor through the view's cell
+    // offsets. A NormalFormGame converts to its identity view. The view's
     // parent game and the profile must outlive the sweep.
     CoalitionSweep(game::GameView view, const game::ExactMixedProfile& profile);
 

@@ -158,11 +158,11 @@ private:
 };
 
 // --- routed entry points ----------------------------------------------------
-// The symmetry-aware mirrors of the robustness.h view-native checkers:
+// The symmetry-aware mirrors of the robustness.h checkers:
 // when the group is non-trivial AND the candidate is pure and class-
 // constant, they build the quotient and run the orbit sweep; otherwise
 // they fall back to the dense CoalitionSweep, returning EXACTLY what the
-// plain (view, profile) overloads return — witnesses included — so a
+// plain (view, profile) checkers return — witnesses included — so a
 // degenerate (all-singleton) group is observationally a no-op.
 [[nodiscard]] bool orbit_applicable(const game::SymmetryGroup& group,
                                     const game::ExactMixedProfile& profile);

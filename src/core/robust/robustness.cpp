@@ -24,34 +24,43 @@ using util::Rational;
 // and everyone else follows the candidate profile. In the pure case a
 // coalition deviation is an O(|who|) stride delta from the candidate's
 // precomputed rank — no PureProfile rebuild, no full re-rank per joint
-// action. Used by the reference checkers and the punishment search; the
-// production robustness checkers run on CoalitionSweep instead.
+// action, and no payoff engine. Used by the reference checkers and the
+// punishment search (one Evaluator per candidate, so a pure candidate
+// costs one strides table); the production robustness checkers run on
+// CoalitionSweep instead.
 class Evaluator final {
 public:
     Evaluator(const NormalFormGame& game, const ExactMixedProfile& profile)
-        : game_(game), engine_(game), profile_(profile), pure_(as_pure_profile(profile)) {
-        if (pure_) base_rank_ = engine_.rank_of(*pure_);
+        : game_(game), profile_(&profile), pure_(as_pure_profile(profile)) {
+        if (pure_) {
+            set_base_rank();
+        } else {
+            engine_.emplace(game);
+        }
+    }
+    Evaluator(const NormalFormGame& game, const PureProfile& profile)
+        : game_(game), pure_(profile) {
+        set_base_rank();
     }
 
     [[nodiscard]] Rational utility(const std::vector<std::size_t>& who,
                                    const PureProfile& actions, std::size_t player) const {
         if (pure_) {
-            const auto& strides = engine_.strides();
             std::uint64_t rank = base_rank_;
             for (std::size_t idx = 0; idx < who.size(); ++idx) {
                 // Unsigned wrap-around is fine: the final rank is in range.
-                rank += actions[idx] * strides[who[idx]];
-                rank -= (*pure_)[who[idx]] * strides[who[idx]];
+                rank += actions[idx] * strides_[who[idx]];
+                rank -= (*pure_)[who[idx]] * strides_[who[idx]];
             }
             return game_.payoff_at(rank, player);
         }
-        ExactMixedProfile deviated = profile_;
+        ExactMixedProfile deviated = *profile_;
         for (std::size_t idx = 0; idx < who.size(); ++idx) {
             game::ExactMixedStrategy point(game_.num_actions(who[idx]), Rational{0});
             point[actions[idx]] = Rational{1};
             deviated[who[idx]] = std::move(point);
         }
-        return engine_.expected_payoff_exact(deviated, player);
+        return engine_->expected_payoff_exact(deviated, player);
     }
 
     [[nodiscard]] Rational baseline(std::size_t player) const {
@@ -59,10 +68,18 @@ public:
     }
 
 private:
+    void set_base_rank() {
+        const auto& counts = game_.action_counts();
+        strides_.assign(counts.size(), 1);
+        for (std::size_t i = counts.size(); i-- > 1;) strides_[i - 1] = strides_[i] * counts[i];
+        for (std::size_t i = 0; i < counts.size(); ++i) base_rank_ += (*pure_)[i] * strides_[i];
+    }
+
     const NormalFormGame& game_;
-    game::PayoffEngine engine_;
-    const ExactMixedProfile& profile_;
+    const ExactMixedProfile* profile_ = nullptr;  // set iff the candidate is mixed
     std::optional<PureProfile> pure_;
+    std::optional<game::PayoffEngine> engine_;  // mixed candidates only
+    std::vector<std::uint64_t> strides_;        // pure candidates only
     std::uint64_t base_rank_ = 0;
 };
 
@@ -74,27 +91,14 @@ std::vector<std::size_t> action_space(const NormalFormGame& game,
     return out;
 }
 
-void validate_profile(const NormalFormGame& game, const ExactMixedProfile& profile) {
-    if (profile.size() != game.num_players()) {
+// Candidates live in the checked game's (or view's) action space.
+void validate_profile(const std::vector<std::size_t>& action_counts,
+                      const ExactMixedProfile& profile) {
+    if (profile.size() != action_counts.size()) {
         throw std::invalid_argument("robustness: profile width mismatch");
     }
     for (std::size_t i = 0; i < profile.size(); ++i) {
-        if (profile[i].size() != game.num_actions(i) ||
-            !game::is_exact_distribution(profile[i])) {
-            throw std::invalid_argument("robustness: invalid strategy for player " +
-                                        std::to_string(i));
-        }
-    }
-}
-
-// View candidates live in VIEW action space.
-void validate_profile(const game::GameView& view, const ExactMixedProfile& profile) {
-    if (profile.size() != view.num_players()) {
-        throw std::invalid_argument("robustness: profile width mismatch");
-    }
-    for (std::size_t i = 0; i < profile.size(); ++i) {
-        if (profile[i].size() != view.num_actions(i) ||
-            !game::is_exact_distribution(profile[i])) {
+        if (profile[i].size() != action_counts[i] || !game::is_exact_distribution(profile[i])) {
             throw std::invalid_argument("robustness: invalid strategy for player " +
                                         std::to_string(i));
         }
@@ -134,122 +138,69 @@ std::optional<PureProfile> as_pure_profile(const ExactMixedProfile& profile) {
 }
 
 std::optional<RobustnessViolation> find_resilience_violation(
-    const NormalFormGame& game, const ExactMixedProfile& profile, std::size_t k,
+    game::GameView view, const ExactMixedProfile& profile, std::size_t k,
     const RobustnessOptions& options) {
-    return find_robustness_violation(game, profile, k, 0, options);
+    return find_robustness_violation(std::move(view), profile, k, 0, options);
 }
 
-std::optional<RobustnessViolation> find_immunity_violation(const NormalFormGame& game,
+std::optional<RobustnessViolation> find_immunity_violation(game::GameView view,
                                                            const ExactMixedProfile& profile,
                                                            std::size_t t) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).immunity_violation(t);
+    validate_profile(view.action_counts(), profile);
+    return CoalitionSweep(std::move(view), profile).immunity_violation(t);
 }
 
-std::optional<RobustnessViolation> find_robustness_violation(const NormalFormGame& game,
+std::optional<RobustnessViolation> find_robustness_violation(game::GameView view,
                                                              const ExactMixedProfile& profile,
                                                              std::size_t k, std::size_t t,
                                                              const RobustnessOptions& options) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).robustness_violation(k, t, options);
+    validate_profile(view.action_counts(), profile);
+    return CoalitionSweep(std::move(view), profile).robustness_violation(k, t, options);
 }
 
-// --- view-native checkers ---------------------------------------------------
-
-std::optional<RobustnessViolation> find_resilience_violation(
-    const game::GameView& view, const ExactMixedProfile& profile, std::size_t k,
-    const RobustnessOptions& options) {
-    return find_robustness_violation(view, profile, k, 0, options);
+bool is_k_resilient(game::GameView view, const ExactMixedProfile& profile, std::size_t k,
+                    const RobustnessOptions& options) {
+    return !find_resilience_violation(std::move(view), profile, k, options).has_value();
 }
 
-std::optional<RobustnessViolation> find_immunity_violation(const game::GameView& view,
-                                                           const ExactMixedProfile& profile,
-                                                           std::size_t t) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).immunity_violation(t);
+bool is_t_immune(game::GameView view, const ExactMixedProfile& profile, std::size_t t) {
+    return !find_immunity_violation(std::move(view), profile, t).has_value();
 }
 
-std::optional<RobustnessViolation> find_robustness_violation(const game::GameView& view,
-                                                             const ExactMixedProfile& profile,
-                                                             std::size_t k, std::size_t t,
-                                                             const RobustnessOptions& options) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).robustness_violation(k, t, options);
-}
-
-bool is_k_resilient(const game::GameView& view, const ExactMixedProfile& profile,
-                    std::size_t k, const RobustnessOptions& options) {
-    return !find_resilience_violation(view, profile, k, options).has_value();
-}
-
-bool is_t_immune(const game::GameView& view, const ExactMixedProfile& profile,
-                 std::size_t t) {
-    return !find_immunity_violation(view, profile, t).has_value();
-}
-
-bool is_kt_robust(const game::GameView& view, const ExactMixedProfile& profile, std::size_t k,
+bool is_kt_robust(game::GameView view, const ExactMixedProfile& profile, std::size_t k,
                   std::size_t t, const RobustnessOptions& options) {
-    return !find_robustness_violation(view, profile, k, t, options).has_value();
+    return !find_robustness_violation(std::move(view), profile, k, t, options).has_value();
 }
 
 // --- shared-sweep batch probes ----------------------------------------------
 
-BatchVerdict batch_resilience(const NormalFormGame& game, const ExactMixedProfile& profile,
+BatchVerdict batch_resilience(game::GameView view, const ExactMixedProfile& profile,
                               std::size_t max_k, const RobustnessOptions& options) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).batch_resilience(max_k, options.criterion,
-                                                          options.mode);
+    validate_profile(view.action_counts(), profile);
+    return CoalitionSweep(std::move(view), profile)
+        .batch_resilience(max_k, options.criterion, options.mode);
 }
 
-BatchVerdict batch_resilience(const game::GameView& view, const ExactMixedProfile& profile,
-                              std::size_t max_k, const RobustnessOptions& options) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).batch_resilience(max_k, options.criterion,
-                                                          options.mode);
-}
-
-BatchVerdict batch_immunity(const NormalFormGame& game, const ExactMixedProfile& profile,
+BatchVerdict batch_immunity(game::GameView view, const ExactMixedProfile& profile,
                             std::size_t max_t, game::SweepMode mode) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).batch_immunity(max_t, mode);
+    validate_profile(view.action_counts(), profile);
+    return CoalitionSweep(std::move(view), profile).batch_immunity(max_t, mode);
 }
 
-BatchVerdict batch_immunity(const game::GameView& view, const ExactMixedProfile& profile,
-                            std::size_t max_t, game::SweepMode mode) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).batch_immunity(max_t, mode);
-}
-
-FrontierVerdict batch_robustness_frontier(const NormalFormGame& game,
+FrontierVerdict batch_robustness_frontier(game::GameView view,
                                           const ExactMixedProfile& profile, std::size_t max_k,
                                           std::size_t max_t,
                                           const RobustnessOptions& options) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile)
+    validate_profile(view.action_counts(), profile);
+    return CoalitionSweep(std::move(view), profile)
         .batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
 }
 
-FrontierVerdict batch_robustness_frontier(const game::GameView& view,
-                                          const ExactMixedProfile& profile, std::size_t max_k,
-                                          std::size_t max_t,
-                                          const RobustnessOptions& options) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile)
-        .batch_robustness_frontier(max_k, max_t, options.criterion, options.mode);
-}
-
-MaxKtResult max_kt(const NormalFormGame& game, const ExactMixedProfile& profile,
-                   std::size_t max_k, std::size_t max_t, const RobustnessOptions& options) {
-    validate_profile(game, profile);
-    return CoalitionSweep(game, profile).max_kt(max_k, max_t, options.criterion,
-                                               options.mode);
-}
-
-MaxKtResult max_kt(const game::GameView& view, const ExactMixedProfile& profile,
-                   std::size_t max_k, std::size_t max_t, const RobustnessOptions& options) {
-    validate_profile(view, profile);
-    return CoalitionSweep(view, profile).max_kt(max_k, max_t, options.criterion,
-                                               options.mode);
+MaxKtResult max_kt(game::GameView view, const ExactMixedProfile& profile, std::size_t max_k,
+                   std::size_t max_t, const RobustnessOptions& options) {
+    validate_profile(view.action_counts(), profile);
+    return CoalitionSweep(std::move(view), profile)
+        .max_kt(max_k, max_t, options.criterion, options.mode);
 }
 
 namespace reference {
@@ -257,7 +208,7 @@ namespace reference {
 std::optional<RobustnessViolation> find_immunity_violation(const NormalFormGame& game,
                                                            const ExactMixedProfile& profile,
                                                            std::size_t t) {
-    validate_profile(game, profile);
+    validate_profile(game.action_counts(), profile);
     if (t == 0) return std::nullopt;
     const Evaluator eval(game, profile);
     std::vector<Rational> baseline(game.num_players());
@@ -291,7 +242,7 @@ std::optional<RobustnessViolation> find_robustness_violation(const NormalFormGam
                                                              const ExactMixedProfile& profile,
                                                              std::size_t k, std::size_t t,
                                                              const RobustnessOptions& options) {
-    validate_profile(game, profile);
+    validate_profile(game.action_counts(), profile);
     // Part (a): non-deviators are not hurt by up to t arbitrary players.
     if (auto immunity = reference::find_immunity_violation(game, profile, t)) return immunity;
     if (k == 0) return std::nullopt;
@@ -382,34 +333,6 @@ std::optional<RobustnessViolation> find_robustness_violation(const NormalFormGam
 
 }  // namespace reference
 
-bool is_k_resilient(const NormalFormGame& game, const ExactMixedProfile& profile,
-                    std::size_t k, const RobustnessOptions& options) {
-    return !find_resilience_violation(game, profile, k, options).has_value();
-}
-
-bool is_t_immune(const NormalFormGame& game, const ExactMixedProfile& profile, std::size_t t) {
-    return !find_immunity_violation(game, profile, t).has_value();
-}
-
-bool is_kt_robust(const NormalFormGame& game, const ExactMixedProfile& profile, std::size_t k,
-                  std::size_t t, const RobustnessOptions& options) {
-    return !find_robustness_violation(game, profile, k, t, options).has_value();
-}
-
-game::ExactMixedProfile as_exact_profile(const NormalFormGame& game,
-                                         const PureProfile& profile) {
-    if (profile.size() != game.num_players()) {
-        throw std::invalid_argument("as_exact_profile: width");
-    }
-    ExactMixedProfile out(game.num_players());
-    for (std::size_t i = 0; i < game.num_players(); ++i) {
-        game::ExactMixedStrategy strategy(game.num_actions(i), Rational{0});
-        strategy.at(profile[i]) = Rational{1};
-        out[i] = std::move(strategy);
-    }
-    return out;
-}
-
 game::ExactMixedProfile as_exact_profile(const game::GameView& view,
                                          const PureProfile& profile) {
     if (profile.size() != view.num_players()) {
@@ -441,8 +364,15 @@ bool is_punishment_strategy(const NormalFormGame& game, const PureProfile& rho, 
     if (baseline.size() != game.num_players()) {
         throw std::invalid_argument("is_punishment_strategy: baseline width");
     }
-    const auto rho_exact = as_exact_profile(game, rho);
-    const Evaluator eval(game, rho_exact);
+    if (rho.size() != game.num_players()) {
+        throw std::invalid_argument("is_punishment_strategy: width");
+    }
+    for (std::size_t i = 0; i < rho.size(); ++i) {
+        if (rho[i] >= game.num_actions(i)) {
+            throw std::out_of_range("is_punishment_strategy: action out of range");
+        }
+    }
+    const Evaluator eval(game, rho);
     // S empty: everyone at rho must be strictly below baseline.
     for (std::size_t i = 0; i < game.num_players(); ++i) {
         if (!(eval.utility({}, {}, i) < baseline[i])) return false;

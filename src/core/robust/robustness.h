@@ -31,13 +31,10 @@
 #include <vector>
 
 #include "game/bayesian.h"
+#include "game/game_view.h"
 #include "game/normal_form.h"
 #include "game/payoff_engine.h"
 #include "game/strategy.h"
-
-namespace bnash::game {
-class GameView;
-}  // namespace bnash::game
 
 namespace bnash::core {
 
@@ -264,96 +261,59 @@ struct MaxKtResult final {
     friend bool operator==(const MaxKtResult&, const MaxKtResult&) = default;
 };
 
-// --- normal-form checkers (exact rational arithmetic throughout) ---------
-
-[[nodiscard]] std::optional<RobustnessViolation> find_resilience_violation(
-    const game::NormalFormGame& game, const game::ExactMixedProfile& profile, std::size_t k,
-    const RobustnessOptions& options = {});
-
-[[nodiscard]] std::optional<RobustnessViolation> find_immunity_violation(
-    const game::NormalFormGame& game, const game::ExactMixedProfile& profile, std::size_t t);
-
-[[nodiscard]] std::optional<RobustnessViolation> find_robustness_violation(
-    const game::NormalFormGame& game, const game::ExactMixedProfile& profile, std::size_t k,
-    std::size_t t, const RobustnessOptions& options = {});
-
-[[nodiscard]] bool is_k_resilient(const game::NormalFormGame& game,
-                                  const game::ExactMixedProfile& profile, std::size_t k,
-                                  const RobustnessOptions& options = {});
-[[nodiscard]] bool is_t_immune(const game::NormalFormGame& game,
-                               const game::ExactMixedProfile& profile, std::size_t t);
-[[nodiscard]] bool is_kt_robust(const game::NormalFormGame& game,
-                                const game::ExactMixedProfile& profile, std::size_t k,
-                                std::size_t t, const RobustnessOptions& options = {});
-
-// --- view-native checkers ---------------------------------------------------
-// The same checks on a game::GameView: an iterated-elimination reduction
-// or an awareness-restricted slice is swept ZERO-COPY through the view's
-// cell offsets — no restricted tensor is materialized (asserted by the
+// --- checkers (exact rational arithmetic throughout) ----------------------
+// Every checker takes a game::GameView; a NormalFormGame converts to its
+// identity view. An iterated-elimination reduction or an awareness-
+// restricted slice is swept ZERO-COPY through the view's cell offsets —
+// no restricted tensor is materialized (asserted by the
 // tensor_allocations() tests). The profile lives in VIEW action space;
 // verdicts and violations are bit-identical to materializing the view and
-// checking the copy.
+// checking the copy. The view is taken by value and moved into the sweep,
+// so a converted game costs one view build and a named view one copy.
 
 [[nodiscard]] std::optional<RobustnessViolation> find_resilience_violation(
-    const game::GameView& view, const game::ExactMixedProfile& profile, std::size_t k,
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t k,
     const RobustnessOptions& options = {});
 
 [[nodiscard]] std::optional<RobustnessViolation> find_immunity_violation(
-    const game::GameView& view, const game::ExactMixedProfile& profile, std::size_t t);
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t t);
 
 [[nodiscard]] std::optional<RobustnessViolation> find_robustness_violation(
-    const game::GameView& view, const game::ExactMixedProfile& profile, std::size_t k,
-    std::size_t t, const RobustnessOptions& options = {});
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t k, std::size_t t,
+    const RobustnessOptions& options = {});
 
-[[nodiscard]] bool is_k_resilient(const game::GameView& view,
-                                  const game::ExactMixedProfile& profile, std::size_t k,
-                                  const RobustnessOptions& options = {});
-[[nodiscard]] bool is_t_immune(const game::GameView& view,
-                               const game::ExactMixedProfile& profile, std::size_t t);
-[[nodiscard]] bool is_kt_robust(const game::GameView& view,
-                                const game::ExactMixedProfile& profile, std::size_t k,
-                                std::size_t t, const RobustnessOptions& options = {});
+[[nodiscard]] bool is_k_resilient(game::GameView view, const game::ExactMixedProfile& profile,
+                                  std::size_t k, const RobustnessOptions& options = {});
+[[nodiscard]] bool is_t_immune(game::GameView view, const game::ExactMixedProfile& profile,
+                               std::size_t t);
+[[nodiscard]] bool is_kt_robust(game::GameView view, const game::ExactMixedProfile& profile,
+                                std::size_t k, std::size_t t,
+                                const RobustnessOptions& options = {});
 
 // --- shared-sweep batch probes ----------------------------------------------
 // All k = 1..max_k (resp. t = 1..max_t) probes inside ONE coalition
 // sweep; see CoalitionSweep::batch_resilience for the prefix argument
 // that makes the per-k witnesses bit-identical to independent probes.
-[[nodiscard]] BatchVerdict batch_resilience(const game::NormalFormGame& game,
+[[nodiscard]] BatchVerdict batch_resilience(game::GameView view,
                                             const game::ExactMixedProfile& profile,
                                             std::size_t max_k,
                                             const RobustnessOptions& options = {});
-[[nodiscard]] BatchVerdict batch_resilience(const game::GameView& view,
-                                            const game::ExactMixedProfile& profile,
-                                            std::size_t max_k,
-                                            const RobustnessOptions& options = {});
-[[nodiscard]] BatchVerdict batch_immunity(const game::NormalFormGame& game,
-                                          const game::ExactMixedProfile& profile,
-                                          std::size_t max_t,
-                                          game::SweepMode mode = game::SweepMode::kAuto);
-[[nodiscard]] BatchVerdict batch_immunity(const game::GameView& view,
+[[nodiscard]] BatchVerdict batch_immunity(game::GameView view,
                                           const game::ExactMixedProfile& profile,
                                           std::size_t max_t,
                                           game::SweepMode mode = game::SweepMode::kAuto);
 
 // The whole k x t grid in one batched sweep; see FrontierVerdict.
 [[nodiscard]] FrontierVerdict batch_robustness_frontier(
-    const game::NormalFormGame& game, const game::ExactMixedProfile& profile,
-    std::size_t max_k, std::size_t max_t, const RobustnessOptions& options = {});
-[[nodiscard]] FrontierVerdict batch_robustness_frontier(
-    const game::GameView& view, const game::ExactMixedProfile& profile, std::size_t max_k,
+    game::GameView view, const game::ExactMixedProfile& profile, std::size_t max_k,
     std::size_t max_t, const RobustnessOptions& options = {});
 
 // The maximal robust set only, via the boundary walk; see MaxKtResult.
-[[nodiscard]] MaxKtResult max_kt(const game::NormalFormGame& game,
-                                 const game::ExactMixedProfile& profile, std::size_t max_k,
-                                 std::size_t max_t, const RobustnessOptions& options = {});
-[[nodiscard]] MaxKtResult max_kt(const game::GameView& view,
-                                 const game::ExactMixedProfile& profile, std::size_t max_k,
-                                 std::size_t max_t, const RobustnessOptions& options = {});
+[[nodiscard]] MaxKtResult max_kt(game::GameView view, const game::ExactMixedProfile& profile,
+                                 std::size_t max_k, std::size_t max_t,
+                                 const RobustnessOptions& options = {});
 
-// Pure-profile conveniences.
-[[nodiscard]] game::ExactMixedProfile as_exact_profile(const game::NormalFormGame& game,
-                                                       const game::PureProfile& profile);
+// Pure-profile convenience: point masses on the view's action counts.
 [[nodiscard]] game::ExactMixedProfile as_exact_profile(const game::GameView& view,
                                                        const game::PureProfile& profile);
 

@@ -40,20 +40,23 @@ void GameView::rebuild_tables() {
     num_profiles_ = util::product_size(action_counts_);
 }
 
-GameView GameView::full(const NormalFormGame& game) {
-    std::vector<std::size_t> player_map(game.num_players());
-    std::vector<std::vector<std::size_t>> kept(game.num_players());
+GameView::GameView(const NormalFormGame& game)
+    : parent_(&game),
+      exact_(game.payoffs_flat().data()),
+      mirror_(game.payoffs_d_flat().data()),
+      player_map_(game.num_players()),
+      kept_(game.num_players()) {
     for (std::size_t p = 0; p < game.num_players(); ++p) {
-        player_map[p] = p;
-        kept[p].resize(game.num_actions(p));
-        for (std::size_t a = 0; a < game.num_actions(p); ++a) kept[p][a] = a;
+        player_map_[p] = p;
+        kept_[p].resize(game.num_actions(p));
+        for (std::size_t a = 0; a < game.num_actions(p); ++a) kept_[p][a] = a;
     }
-    return GameView(game, std::move(player_map), std::move(kept));
+    rebuild_tables();
 }
 
 GameView GameView::restrict(const NormalFormGame& game,
                             const std::vector<std::vector<std::size_t>>& kept_actions) {
-    return full(game).restrict(kept_actions);
+    return GameView(game).restrict(kept_actions);
 }
 
 GameView GameView::permute(const NormalFormGame& game,

@@ -19,6 +19,11 @@
 // flat-tensor data pointers, so MUTATING the parent (copy-assigning over
 // it, or anything else that reallocates its tensors) invalidates every
 // view of it even while the parent object stays alive.
+//
+// A NormalFormGame converts implicitly to its identity view, so every
+// sweep entry point takes a GameView and a dense game reaches it through
+// that one conversion. Converting a temporary game is a compile error:
+// the view would dangle the moment the full expression ends.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +38,11 @@ namespace bnash::game {
 
 class GameView final {
 public:
-    // The whole game, unchanged (identity view).
-    [[nodiscard]] static GameView full(const NormalFormGame& game);
+    // The whole game, unchanged (identity view). Deliberately implicit:
+    // a dense game IS its identity view wherever a GameView is expected.
+    GameView(const NormalFormGame& game);
+    GameView(const NormalFormGame&& game) = delete;
+    [[nodiscard]] static GameView full(const NormalFormGame& game) { return GameView(game); }
 
     // Restriction to subsets of actions, per player. Validation matches
     // NormalFormGame::restrict: every player keeps >= 1 in-range action.
@@ -66,6 +74,10 @@ public:
     }
     [[nodiscard]] std::size_t parent_player(std::size_t player) const {
         return player_map_.at(player);
+    }
+    // The whole map: view player p reads parent column player_map()[p].
+    [[nodiscard]] const std::vector<std::size_t>& player_map() const noexcept {
+        return player_map_;
     }
 
     // --- flat-offset hot path ------------------------------------------------

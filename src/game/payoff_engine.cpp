@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "game/game_view.h"
@@ -22,87 +23,52 @@ namespace {
 inline bool sweep_zero(double value) { return value == 0.0; }
 inline bool sweep_zero(const util::Rational& value) { return value.is_zero(); }
 
-// Tensor accessors: the sweep kernels are generic over WHERE a profile's
-// payoff row lives. `make_walker()` yields a util::OffsetWalker over the
-// accessor's per-digit cell-offset tables (the ONE incremental odometer
-// every kernel steps), and `at(row, i)` reads player i's payoff from the
-// walker's current row.
-//
-// DenseTensor: contiguous [rank * n + i] storage (NormalFormGame's own
-// tensors); the walker steps the engine's precomputed offset tables
-// (cell_offsets()[p][a] = a * stride_p * n). Rows are contiguous, so the
-// all-player accumulation vectorizes (kContiguousRow).
+// The tensor accessor every sweep kernel reads through. `make_walker()`
+// yields a util::OffsetWalker over the view's per-digit cell-offset
+// tables (the ONE incremental odometer every kernel steps, landing
+// straight in the PARENT tensor: zero copy), and `at(row, i)` reads view
+// player i's payoff from the walker's current row through the view's
+// player column map.
 template <typename V>
-struct DenseTensor {
-    const V* data;
-    const std::vector<std::vector<std::uint64_t>>* cells;
-    static constexpr bool kContiguousRow = true;
-    [[nodiscard]] util::OffsetWalker make_walker() const {
-        util::OffsetWalker walker;
-        walker.reserve(cells->size());
-        for (const auto& column : *cells) walker.add_digit(column.data(), column.size());
-        return walker;
-    }
-    [[nodiscard]] const V* row_ptr(std::uint64_t row) const noexcept { return data + row; }
-    [[nodiscard]] const V& at(std::uint64_t row, std::size_t i) const noexcept {
-        return data[row + i];
-    }
-};
-
-// ViewTensor: a GameView's scattered cells; the walker steps the view's
-// cell-offset tables straight into the PARENT tensor (zero copy), and
-// reads go through the view's player column map.
-struct ViewTensorBase {
+struct ViewTensor {
     const GameView* view;
-    static constexpr bool kContiguousRow = false;
+    const V* data;              // the parent's flat tensor of this value type
+    const std::size_t* column;  // view player i reads parent column column[i]
+
+    explicit ViewTensor(const GameView& v) : view(&v), column(v.player_map().data()) {
+        if constexpr (std::is_same_v<V, double>) {
+            data = v.parent().payoffs_d_flat().data();
+        } else {
+            data = v.parent().payoffs_flat().data();
+        }
+    }
     [[nodiscard]] util::OffsetWalker make_walker() const {
         util::OffsetWalker walker;
         walker.reserve(view->num_players());
         for (std::size_t p = 0; p < view->num_players(); ++p) {
-            const auto& column = view->cell_offsets(p);
-            walker.add_digit(column.data(), column.size());
+            const auto& offsets = view->cell_offsets(p);
+            walker.add_digit(offsets.data(), offsets.size());
         }
         return walker;
     }
-    [[nodiscard]] const double* row_ptr(std::uint64_t) const noexcept { return nullptr; }
-};
-
-struct ViewTensorExact : ViewTensorBase {
-    [[nodiscard]] const util::Rational& at(std::uint64_t row, std::size_t i) const {
-        return view->payoff_from(row, i);
+    [[nodiscard]] const V& at(std::uint64_t row, std::size_t i) const noexcept {
+        return data[row + column[i]];
     }
 };
 
-struct ViewTensorDouble : ViewTensorBase {
-    [[nodiscard]] double at(std::uint64_t row, std::size_t i) const {
-        return view->payoff_d_from(row, i);
-    }
-};
-
-// totals[i] += weight * row[i] for every player. On contiguous rows the
-// loop is elementwise-independent, so the double mirror vectorizes
-// (enabled with -fopenmp-simd; each totals[i] keeps its own accumulator,
-// so SIMD changes no accumulation order and results stay bit-identical).
-template <typename V, typename Acc>
-inline void accumulate_all(const Acc& acc, std::uint64_t row, const V& weight,
+// totals[i] += weight * row[i] for every player.
+template <typename V>
+inline void accumulate_all(const ViewTensor<V>& acc, std::uint64_t row, const V& weight,
                            std::vector<V>& totals) {
-    const std::size_t n = totals.size();
-    if constexpr (Acc::kContiguousRow) {
-        const V* cells = acc.row_ptr(row);
-        V* out = totals.data();
-#pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) out[i] += weight * cells[i];
-    } else {
-        for (std::size_t i = 0; i < n; ++i) totals[i] += weight * acc.at(row, i);
-    }
+    for (std::size_t i = 0; i < totals.size(); ++i) totals[i] += weight * acc.at(row, i);
 }
 
 // Accumulates every player's deviation payoffs over ranks [begin, end).
 // Prefix/suffix probability products give weight_excluding(i) for all i
 // in O(players) per profile — the marginalization that replaces the
 // seed's one-full-sweep-per-(player, action).
-template <typename V, typename ProfileT, typename Acc>
-void deviation_block(const ProfileT& profile, const Acc& acc, std::uint64_t begin,
+template <typename V, typename ProfileT>
+void deviation_block(const ProfileT& profile, const ViewTensor<V>& acc, std::uint64_t begin,
                      std::uint64_t end, std::vector<std::vector<V>>& dev) {
     const std::size_t n = profile.size();
     util::OffsetWalker walker = acc.make_walker();
@@ -129,9 +95,10 @@ void deviation_block(const ProfileT& profile, const Acc& acc, std::uint64_t begi
 
 // One player's deviation row only (best_responses against a fixed rival
 // profile needs nothing else).
-template <typename V, typename ProfileT, typename Acc>
-void deviation_row_block(const ProfileT& profile, const Acc& acc, std::size_t player,
-                         std::uint64_t begin, std::uint64_t end, std::vector<V>& dev_row) {
+template <typename V, typename ProfileT>
+void deviation_row_block(const ProfileT& profile, const ViewTensor<V>& acc,
+                         std::size_t player, std::uint64_t begin, std::uint64_t end,
+                         std::vector<V>& dev_row) {
     const std::size_t n = profile.size();
     util::OffsetWalker walker = acc.make_walker();
     walker.seek(begin);
@@ -153,9 +120,10 @@ void deviation_row_block(const ProfileT& profile, const Acc& acc, std::size_t pl
 // per profile, but only a single accumulation — on the exact path each
 // accumulation is a Rational multiply-add, so single-player callers (the
 // robustness Evaluator's mixed fallback) skip n-1 of them.
-template <typename V, typename ProfileT, typename Acc>
-void expected_single_block(const ProfileT& profile, const Acc& acc, std::size_t player,
-                           std::uint64_t begin, std::uint64_t end, V& total) {
+template <typename V, typename ProfileT>
+void expected_single_block(const ProfileT& profile, const ViewTensor<V>& acc,
+                           std::size_t player, std::uint64_t begin, std::uint64_t end,
+                           V& total) {
     const std::size_t n = profile.size();
     util::OffsetWalker walker = acc.make_walker();
     walker.seek(begin);
@@ -172,8 +140,8 @@ void expected_single_block(const ProfileT& profile, const Acc& acc, std::size_t 
 }
 
 // All players' expected payoffs: one weight product per profile.
-template <typename V, typename ProfileT, typename Acc>
-void expected_block(const ProfileT& profile, const Acc& acc, std::uint64_t begin,
+template <typename V, typename ProfileT>
+void expected_block(const ProfileT& profile, const ViewTensor<V>& acc, std::uint64_t begin,
                     std::uint64_t end, std::vector<V>& totals) {
     const std::size_t n = profile.size();
     util::OffsetWalker walker = acc.make_walker();
@@ -266,85 +234,7 @@ std::vector<std::vector<V>> make_table(const std::vector<std::size_t>& counts) {
 }
 
 template <typename ProfileT>
-void validate_profile_shape(const NormalFormGame& game, const ProfileT& profile,
-                            const char* what) {
-    if (profile.size() != game.num_players()) {
-        throw std::invalid_argument(std::string(what) + ": width");
-    }
-    for (std::size_t i = 0; i < profile.size(); ++i) {
-        if (profile[i].size() != game.num_actions(i)) {
-            throw std::invalid_argument(std::string(what) + ": strategy size for player " +
-                                        std::to_string(i));
-        }
-    }
-}
-
-template <typename V, typename ProfileT, typename Acc>
-std::vector<std::vector<V>> deviation_sweep(const std::vector<std::size_t>& counts,
-                                            std::uint64_t num_profiles, const Acc& acc,
-                                            const ProfileT& profile, SweepMode mode) {
-    auto dev = make_table<V>(counts);
-    blocked_sweep(
-        num_profiles, mode, dev, [&] { return make_table<V>(counts); },
-        [&](std::uint64_t lo, std::uint64_t hi, std::vector<std::vector<V>>& table) {
-            deviation_block<V>(profile, acc, lo, hi, table);
-        },
-        [](std::vector<std::vector<V>>& into, const std::vector<std::vector<V>>& part) {
-            for (std::size_t i = 0; i < into.size(); ++i) {
-                for (std::size_t a = 0; a < into[i].size(); ++a) into[i][a] += part[i][a];
-            }
-        });
-    return dev;
-}
-
-template <typename V, typename ProfileT, typename Acc>
-std::vector<V> expected_sweep(const std::vector<std::size_t>& counts,
-                              std::uint64_t num_profiles, const Acc& acc,
-                              const ProfileT& profile, SweepMode mode) {
-    std::vector<V> totals(counts.size(), V{0});
-    blocked_sweep(
-        num_profiles, mode, totals, [&] { return std::vector<V>(counts.size(), V{0}); },
-        [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-            expected_block<V>(profile, acc, lo, hi, table);
-        },
-        [](std::vector<V>& into, const std::vector<V>& part) {
-            for (std::size_t i = 0; i < into.size(); ++i) into[i] += part[i];
-        });
-    return totals;
-}
-
-template <typename V, typename ProfileT, typename Acc>
-V expected_single_sweep(std::uint64_t num_profiles, const Acc& acc, const ProfileT& profile,
-                        std::size_t player) {
-    V total{0};
-    blocked_sweep(
-        num_profiles, SweepMode::kAuto, total, [] { return V{0}; },
-        [&](std::uint64_t lo, std::uint64_t hi, V& table) {
-            expected_single_block<V>(profile, acc, player, lo, hi, table);
-        },
-        [](V& into, const V& part) { into += part; });
-    return total;
-}
-
-template <typename V, typename ProfileT, typename Acc>
-std::vector<V> row_sweep(const std::vector<std::size_t>& counts, std::uint64_t num_profiles,
-                         const Acc& acc, const ProfileT& profile, std::size_t player) {
-    std::vector<V> row(counts[player], V{0});
-    blocked_sweep(
-        num_profiles, SweepMode::kAuto, row,
-        [&] { return std::vector<V>(counts[player], V{0}); },
-        [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-            deviation_row_block<V>(profile, acc, player, lo, hi, table);
-        },
-        [](std::vector<V>& into, const std::vector<V>& part) {
-            for (std::size_t a = 0; a < into.size(); ++a) into[a] += part[a];
-        });
-    return row;
-}
-
-template <typename ProfileT>
-void validate_view_profile_shape(const GameView& view, const ProfileT& profile,
-                                 const char* what) {
+void validate_profile_shape(const GameView& view, const ProfileT& profile, const char* what) {
     if (profile.size() != view.num_players()) {
         throw std::invalid_argument(std::string(what) + ": width");
     }
@@ -356,6 +246,70 @@ void validate_view_profile_shape(const GameView& view, const ProfileT& profile,
     }
 }
 
+template <typename V, typename ProfileT>
+std::vector<std::vector<V>> deviation_sweep(const GameView& view, const ProfileT& profile,
+                                            SweepMode mode) {
+    const ViewTensor<V> acc(view);
+    const auto& counts = view.action_counts();
+    auto dev = make_table<V>(counts);
+    blocked_sweep(
+        view.num_profiles(), mode, dev, [&] { return make_table<V>(counts); },
+        [&](std::uint64_t lo, std::uint64_t hi, std::vector<std::vector<V>>& table) {
+            deviation_block<V>(profile, acc, lo, hi, table);
+        },
+        [](std::vector<std::vector<V>>& into, const std::vector<std::vector<V>>& part) {
+            for (std::size_t i = 0; i < into.size(); ++i) {
+                for (std::size_t a = 0; a < into[i].size(); ++a) into[i][a] += part[i][a];
+            }
+        });
+    return dev;
+}
+
+template <typename V, typename ProfileT>
+std::vector<V> expected_sweep(const GameView& view, const ProfileT& profile, SweepMode mode) {
+    const ViewTensor<V> acc(view);
+    const std::size_t n = view.num_players();
+    std::vector<V> totals(n, V{0});
+    blocked_sweep(
+        view.num_profiles(), mode, totals, [&] { return std::vector<V>(n, V{0}); },
+        [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
+            expected_block<V>(profile, acc, lo, hi, table);
+        },
+        [](std::vector<V>& into, const std::vector<V>& part) {
+            for (std::size_t i = 0; i < into.size(); ++i) into[i] += part[i];
+        });
+    return totals;
+}
+
+template <typename V, typename ProfileT>
+V expected_single_sweep(const GameView& view, const ProfileT& profile, std::size_t player) {
+    const ViewTensor<V> acc(view);
+    V total{0};
+    blocked_sweep(
+        view.num_profiles(), SweepMode::kAuto, total, [] { return V{0}; },
+        [&](std::uint64_t lo, std::uint64_t hi, V& table) {
+            expected_single_block<V>(profile, acc, player, lo, hi, table);
+        },
+        [](V& into, const V& part) { into += part; });
+    return total;
+}
+
+template <typename V, typename ProfileT>
+std::vector<V> row_sweep(const GameView& view, const ProfileT& profile, std::size_t player) {
+    const ViewTensor<V> acc(view);
+    const std::size_t width = view.num_actions(player);
+    std::vector<V> row(width, V{0});
+    blocked_sweep(
+        view.num_profiles(), SweepMode::kAuto, row, [&] { return std::vector<V>(width, V{0}); },
+        [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
+            deviation_row_block<V>(profile, acc, player, lo, hi, table);
+        },
+        [](std::vector<V>& into, const std::vector<V>& part) {
+            for (std::size_t a = 0; a < into.size(); ++a) into[a] += part[a];
+        });
+    return row;
+}
+
 // --- sparse-support machinery ------------------------------------------------
 //
 // The shared game::SupportPlan (see payoff_engine.h) restricts each digit
@@ -364,22 +318,21 @@ void validate_view_profile_shape(const GameView& view, const ProfileT& profile,
 // visits exactly the profiles the dense sweep would NOT have skipped, in
 // the same row-major order. A `full_player` digit (the deviating player
 // of a deviation-row sweep) keeps its whole action range. Offset tables
-// are materialized per plan (support-indexed slices of the accessor's
+// are materialized per plan (support-indexed slices of the view's
 // columns).
 
 constexpr std::size_t kNoFullPlayer = SupportPlan::kNoFullPlayer;
 
 template <typename ProfileT>
-SupportPlan build_support_plan(const ProfileT& profile,
-                               const std::vector<std::vector<std::uint64_t>>* engine_cells,
-                               const GameView* view, std::size_t full_player) {
+SupportPlan make_support_plan(const GameView& view, const ProfileT& profile,
+                              std::size_t full_player) {
     const std::size_t n = profile.size();
     SupportPlan plan;
     plan.actions.resize(n);
     plan.offsets.resize(n);
     plan.radices.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
-        const auto& column = engine_cells ? (*engine_cells)[p] : view->cell_offsets(p);
+        const auto& column = view.cell_offsets(p);
         if (p == full_player) {
             plan.actions[p].resize(column.size());
             for (std::size_t a = 0; a < column.size(); ++a) plan.actions[p][a] = a;
@@ -469,9 +422,10 @@ template <typename V, typename ProfileT>
 // Sparse expected sweep over one block: the weight is the same left-fold
 // product the dense kernel computes, but only digits at or above the
 // walker's lowest changed digit recompute (incremental prefix products).
-template <typename V, typename ProfileT, typename Acc>
-void sparse_expected_block(const SupportPlan& plan, const ProfileT& profile, const Acc& acc,
-                           std::uint64_t begin, std::uint64_t end, std::vector<V>& totals) {
+template <typename V, typename ProfileT>
+void sparse_expected_block(const SupportPlan& plan, const ProfileT& profile,
+                           const ViewTensor<V>& acc, std::uint64_t begin, std::uint64_t end,
+                           std::vector<V>& totals) {
     const std::size_t n = plan.radices.size();
     util::OffsetWalker walker = plan.make_walker();
     walker.seek(begin);
@@ -493,10 +447,10 @@ void sparse_expected_block(const SupportPlan& plan, const ProfileT& profile, con
     util::work_counters_add(end - begin, walker.digit_moves());
 }
 
-template <typename V, typename ProfileT, typename Acc>
+template <typename V, typename ProfileT>
 void sparse_expected_single_block(const SupportPlan& plan, const ProfileT& profile,
-                                  const Acc& acc, std::size_t player, std::uint64_t begin,
-                                  std::uint64_t end, V& total) {
+                                  const ViewTensor<V>& acc, std::size_t player,
+                                  std::uint64_t begin, std::uint64_t end, V& total) {
     const std::size_t n = plan.radices.size();
     util::OffsetWalker walker = plan.make_walker();
     walker.seek(begin);
@@ -522,10 +476,10 @@ void sparse_expected_single_block(const SupportPlan& plan, const ProfileT& profi
 // everyone else's support. weight = prefix[player] * tail reproduces the
 // dense kernel's prefix[i] * suffix[i+1] fold exactly (same operand
 // order), so the row is bit-identical to the dense deviation table's.
-template <typename V, typename ProfileT, typename Acc>
-void sparse_row_block(const SupportPlan& plan, const ProfileT& profile, const Acc& acc,
-                      std::size_t player, std::uint64_t begin, std::uint64_t end,
-                      std::vector<V>& dev_row) {
+template <typename V, typename ProfileT>
+void sparse_row_block(const SupportPlan& plan, const ProfileT& profile,
+                      const ViewTensor<V>& acc, std::size_t player, std::uint64_t begin,
+                      std::uint64_t end, std::vector<V>& dev_row) {
     const std::size_t n = plan.radices.size();
     util::OffsetWalker walker = plan.make_walker();
     walker.seek(begin);
@@ -554,18 +508,17 @@ void sparse_row_block(const SupportPlan& plan, const ProfileT& profile, const Ac
     util::work_counters_add(end - begin, walker.digit_moves());
 }
 
-template <typename V, typename ProfileT, typename Acc>
-std::vector<V> sparse_expected_sweep(const std::vector<std::size_t>& counts,
-                                     std::uint64_t num_profiles, const Acc& acc,
-                                     const std::vector<std::vector<std::uint64_t>>* cells,
-                                     const GameView* view, const ProfileT& profile,
+template <typename V, typename ProfileT>
+std::vector<V> sparse_expected_sweep(const GameView& view, const ProfileT& profile,
                                      SweepMode mode) {
-    std::vector<V> totals(counts.size(), V{0});
-    const auto plan = build_support_plan(profile, cells, view, kNoFullPlayer);
+    const std::size_t n = view.num_players();
+    std::vector<V> totals(n, V{0});
+    const auto plan = make_support_plan(view, profile, kNoFullPlayer);
     if (plan.dead) return totals;
+    const ViewTensor<V> acc(view);
     blocked_sweep_ranges(
-        support_blocks(counts, num_profiles, plan), mode, totals,
-        [&] { return std::vector<V>(counts.size(), V{0}); },
+        support_blocks(view.action_counts(), view.num_profiles(), plan), mode, totals,
+        [&] { return std::vector<V>(n, V{0}); },
         [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
             sparse_expected_block<V>(plan, profile, acc, lo, hi, table);
         },
@@ -575,18 +528,16 @@ std::vector<V> sparse_expected_sweep(const std::vector<std::size_t>& counts,
     return totals;
 }
 
-template <typename V, typename ProfileT, typename Acc>
-V sparse_expected_single_sweep(const std::vector<std::size_t>& counts,
-                               std::uint64_t num_profiles, const Acc& acc,
-                               const std::vector<std::vector<std::uint64_t>>* cells,
-                               const GameView* view, const ProfileT& profile,
+template <typename V, typename ProfileT>
+V sparse_expected_single_sweep(const GameView& view, const ProfileT& profile,
                                std::size_t player) {
     V total{0};
-    const auto plan = build_support_plan(profile, cells, view, kNoFullPlayer);
+    const auto plan = make_support_plan(view, profile, kNoFullPlayer);
     if (plan.dead) return total;
+    const ViewTensor<V> acc(view);
     blocked_sweep_ranges(
-        support_blocks(counts, num_profiles, plan), SweepMode::kAuto, total,
-        [] { return V{0}; },
+        support_blocks(view.action_counts(), view.num_profiles(), plan), SweepMode::kAuto,
+        total, [] { return V{0}; },
         [&](std::uint64_t lo, std::uint64_t hi, V& table) {
             sparse_expected_single_block<V>(plan, profile, acc, player, lo, hi, table);
         },
@@ -594,17 +545,17 @@ V sparse_expected_single_sweep(const std::vector<std::size_t>& counts,
     return total;
 }
 
-template <typename V, typename ProfileT, typename Acc>
-std::vector<std::vector<V>> sparse_deviation_sweep(
-    const std::vector<std::size_t>& counts, std::uint64_t num_profiles, const Acc& acc,
-    const std::vector<std::vector<std::uint64_t>>* cells, const GameView* view,
-    const ProfileT& profile, SweepMode mode) {
+template <typename V, typename ProfileT>
+std::vector<std::vector<V>> sparse_deviation_sweep(const GameView& view,
+                                                   const ProfileT& profile, SweepMode mode) {
+    const auto& counts = view.action_counts();
+    const ViewTensor<V> acc(view);
     auto dev = make_table<V>(counts);
     for (std::size_t player = 0; player < counts.size(); ++player) {
-        const auto plan = build_support_plan(profile, cells, view, player);
+        const auto plan = make_support_plan(view, profile, player);
         if (plan.dead) continue;  // a rival support is empty: all weights are zero
         blocked_sweep_ranges(
-            support_blocks(counts, num_profiles, plan), mode, dev[player],
+            support_blocks(counts, view.num_profiles(), plan), mode, dev[player],
             [&] { return std::vector<V>(counts[player], V{0}); },
             [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
                 sparse_row_block<V>(plan, profile, acc, player, lo, hi, table);
@@ -645,7 +596,7 @@ util::OffsetWalker SupportPlan::make_walker() const {
 
 SupportPlan build_support_plan(const GameView& view, const ExactMixedProfile& profile,
                                std::size_t full_player) {
-    return build_support_plan(profile, nullptr, &view, full_player);
+    return make_support_plan(view, profile, full_player);
 }
 
 SupportPlan build_support_plan_from_dists(const std::vector<std::vector<double>>& dists,
@@ -675,22 +626,11 @@ SupportPlan build_support_plan_from_dists(const std::vector<std::vector<double>>
     return plan;
 }
 
-PayoffEngine::PayoffEngine(const NormalFormGame& game) : game_(&game) {
-    const auto& counts = game.action_counts();
-    const std::size_t n = counts.size();
-    strides_.assign(n, 1);
-    for (std::size_t i = n - 1; i-- > 0;) {
+PayoffEngine::PayoffEngine(GameView view) : view_(std::move(view)) {
+    const auto& counts = view_.action_counts();
+    strides_.assign(counts.size(), 1);
+    for (std::size_t i = counts.size() - 1; i-- > 0;) {
         strides_[i] = strides_[i + 1] * counts[i + 1];
-    }
-    // Cell-offset tables in flat-tensor units (stride * row width): the
-    // digit tables the shared OffsetWalker steps. A dense game is the
-    // identity view, so these match GameView::full(game).cell_offsets.
-    cell_offsets_.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        cell_offsets_[p].resize(counts[p]);
-        for (std::size_t a = 0; a < counts[p]; ++a) {
-            cell_offsets_[p][a] = static_cast<std::uint64_t>(a) * strides_[p] * n;
-        }
     }
 }
 
@@ -704,212 +644,86 @@ std::uint64_t PayoffEngine::rank_of(const PureProfile& profile) const {
 
 std::vector<double> PayoffEngine::expected_payoffs(const MixedProfile& profile,
                                                    SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "expected_payoffs");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return expected_sweep<double>(game_->action_counts(), game_->num_profiles(), acc, profile,
-                                  mode);
+    validate_profile_shape(view_, profile, "expected_payoffs");
+    return expected_sweep<double>(view_, profile, mode);
 }
 
 double PayoffEngine::expected_payoff(const MixedProfile& profile, std::size_t player) const {
-    validate_profile_shape(*game_, profile, "expected_payoff");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return expected_single_sweep<double>(game_->num_profiles(), acc, profile, player);
+    validate_profile_shape(view_, profile, "expected_payoff");
+    return expected_single_sweep<double>(view_, profile, player);
 }
 
 DeviationTable PayoffEngine::deviation_payoffs_all(const MixedProfile& profile,
                                                    SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "deviation_payoffs_all");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return deviation_sweep<double>(game_->action_counts(), game_->num_profiles(), acc, profile,
-                                   mode);
+    validate_profile_shape(view_, profile, "deviation_payoffs_all");
+    return deviation_sweep<double>(view_, profile, mode);
 }
 
 std::vector<double> PayoffEngine::deviation_row(const MixedProfile& profile,
                                                 std::size_t player) const {
-    validate_profile_shape(*game_, profile, "deviation_row");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return row_sweep<double>(game_->action_counts(), game_->num_profiles(), acc, profile,
-                             player);
+    validate_profile_shape(view_, profile, "deviation_row");
+    return row_sweep<double>(view_, profile, player);
 }
 
-std::vector<util::Rational> PayoffEngine::expected_payoffs_exact(
-    const ExactMixedProfile& profile, SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "expected_payoffs_exact");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return expected_sweep<util::Rational>(game_->action_counts(), game_->num_profiles(), acc,
-                                          profile, mode);
+std::vector<util::Rational> PayoffEngine::expected_payoffs_exact(const ExactMixedProfile& profile,
+                                                                 SweepMode mode) const {
+    validate_profile_shape(view_, profile, "expected_payoffs_exact");
+    return expected_sweep<util::Rational>(view_, profile, mode);
 }
 
 util::Rational PayoffEngine::expected_payoff_exact(const ExactMixedProfile& profile,
                                                    std::size_t player) const {
-    validate_profile_shape(*game_, profile, "expected_payoff_exact");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return expected_single_sweep<util::Rational>(game_->num_profiles(), acc, profile, player);
+    validate_profile_shape(view_, profile, "expected_payoff_exact");
+    return expected_single_sweep<util::Rational>(view_, profile, player);
 }
 
 ExactDeviationTable PayoffEngine::deviation_payoffs_all_exact(const ExactMixedProfile& profile,
                                                               SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "deviation_payoffs_all_exact");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return deviation_sweep<util::Rational>(game_->action_counts(), game_->num_profiles(), acc,
-                                           profile, mode);
+    validate_profile_shape(view_, profile, "deviation_payoffs_all_exact");
+    return deviation_sweep<util::Rational>(view_, profile, mode);
 }
 
 std::vector<util::Rational> PayoffEngine::deviation_row_exact(const ExactMixedProfile& profile,
                                                               std::size_t player) const {
-    validate_profile_shape(*game_, profile, "deviation_row_exact");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return row_sweep<util::Rational>(game_->action_counts(), game_->num_profiles(), acc,
-                                     profile, player);
+    validate_profile_shape(view_, profile, "deviation_row_exact");
+    return row_sweep<util::Rational>(view_, profile, player);
 }
 
 // --- sparse-support sweeps ---------------------------------------------------
 
 std::vector<double> PayoffEngine::expected_payoffs_sparse(const MixedProfile& profile,
                                                           SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "expected_payoffs_sparse");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return sparse_expected_sweep<double>(game_->action_counts(), game_->num_profiles(), acc,
-                                         &cell_offsets_, nullptr, profile, mode);
+    validate_profile_shape(view_, profile, "expected_payoffs_sparse");
+    return sparse_expected_sweep<double>(view_, profile, mode);
 }
 
-double PayoffEngine::expected_payoff_sparse(const MixedProfile& profile,
-                                            std::size_t player) const {
-    validate_profile_shape(*game_, profile, "expected_payoff_sparse");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return sparse_expected_single_sweep<double>(game_->action_counts(),
-                                                game_->num_profiles(), acc, &cell_offsets_,
-                                                nullptr, profile, player);
+double PayoffEngine::expected_payoff_sparse(const MixedProfile& profile, std::size_t player) const {
+    validate_profile_shape(view_, profile, "expected_payoff_sparse");
+    return sparse_expected_single_sweep<double>(view_, profile, player);
 }
 
 DeviationTable PayoffEngine::deviation_payoffs_all_sparse(const MixedProfile& profile,
                                                           SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "deviation_payoffs_all_sparse");
-    const DenseTensor<double> acc{game_->payoffs_d_flat().data(), &cell_offsets_};
-    return sparse_deviation_sweep<double>(game_->action_counts(), game_->num_profiles(), acc,
-                                          &cell_offsets_, nullptr, profile, mode);
+    validate_profile_shape(view_, profile, "deviation_payoffs_all_sparse");
+    return sparse_deviation_sweep<double>(view_, profile, mode);
 }
 
 std::vector<util::Rational> PayoffEngine::expected_payoffs_exact_sparse(
     const ExactMixedProfile& profile, SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "expected_payoffs_exact_sparse");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return sparse_expected_sweep<util::Rational>(game_->action_counts(),
-                                                 game_->num_profiles(), acc, &cell_offsets_,
-                                                 nullptr, profile, mode);
+    validate_profile_shape(view_, profile, "expected_payoffs_exact_sparse");
+    return sparse_expected_sweep<util::Rational>(view_, profile, mode);
 }
 
 util::Rational PayoffEngine::expected_payoff_exact_sparse(const ExactMixedProfile& profile,
                                                           std::size_t player) const {
-    validate_profile_shape(*game_, profile, "expected_payoff_exact_sparse");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return sparse_expected_single_sweep<util::Rational>(game_->action_counts(),
-                                                        game_->num_profiles(), acc,
-                                                        &cell_offsets_, nullptr, profile,
-                                                        player);
+    validate_profile_shape(view_, profile, "expected_payoff_exact_sparse");
+    return sparse_expected_single_sweep<util::Rational>(view_, profile, player);
 }
 
 ExactDeviationTable PayoffEngine::deviation_payoffs_all_exact_sparse(
     const ExactMixedProfile& profile, SweepMode mode) const {
-    validate_profile_shape(*game_, profile, "deviation_payoffs_all_exact_sparse");
-    const DenseTensor<util::Rational> acc{game_->payoffs_flat().data(), &cell_offsets_};
-    return sparse_deviation_sweep<util::Rational>(game_->action_counts(),
-                                                  game_->num_profiles(), acc, &cell_offsets_,
-                                                  nullptr, profile, mode);
-}
-
-// --- zero-copy view sweeps -------------------------------------------------
-
-std::vector<double> expected_payoffs(const GameView& view, const MixedProfile& profile,
-                                     SweepMode mode) {
-    validate_view_profile_shape(view, profile, "expected_payoffs(view)");
-    const ViewTensorDouble acc{&view};
-    return expected_sweep<double>(view.action_counts(), view.num_profiles(), acc, profile,
-                                  mode);
-}
-
-DeviationTable deviation_payoffs_all(const GameView& view, const MixedProfile& profile,
-                                     SweepMode mode) {
-    validate_view_profile_shape(view, profile, "deviation_payoffs_all(view)");
-    const ViewTensorDouble acc{&view};
-    return deviation_sweep<double>(view.action_counts(), view.num_profiles(), acc, profile,
-                                   mode);
-}
-
-std::vector<double> deviation_row(const GameView& view, const MixedProfile& profile,
-                                  std::size_t player) {
-    validate_view_profile_shape(view, profile, "deviation_row(view)");
-    const ViewTensorDouble acc{&view};
-    return row_sweep<double>(view.action_counts(), view.num_profiles(), acc, profile, player);
-}
-
-std::vector<util::Rational> expected_payoffs_exact(const GameView& view,
-                                                   const ExactMixedProfile& profile,
-                                                   SweepMode mode) {
-    validate_view_profile_shape(view, profile, "expected_payoffs_exact(view)");
-    const ViewTensorExact acc{&view};
-    return expected_sweep<util::Rational>(view.action_counts(), view.num_profiles(), acc,
-                                          profile, mode);
-}
-
-util::Rational expected_payoff_exact(const GameView& view, const ExactMixedProfile& profile,
-                                     std::size_t player) {
-    validate_view_profile_shape(view, profile, "expected_payoff_exact(view)");
-    const ViewTensorExact acc{&view};
-    return expected_single_sweep<util::Rational>(view.num_profiles(), acc, profile, player);
-}
-
-ExactDeviationTable deviation_payoffs_all_exact(const GameView& view,
-                                                const ExactMixedProfile& profile,
-                                                SweepMode mode) {
-    validate_view_profile_shape(view, profile, "deviation_payoffs_all_exact(view)");
-    const ViewTensorExact acc{&view};
-    return deviation_sweep<util::Rational>(view.action_counts(), view.num_profiles(), acc,
-                                           profile, mode);
-}
-
-std::vector<double> expected_payoffs_sparse(const GameView& view, const MixedProfile& profile,
-                                            SweepMode mode) {
-    validate_view_profile_shape(view, profile, "expected_payoffs_sparse(view)");
-    const ViewTensorDouble acc{&view};
-    return sparse_expected_sweep<double>(view.action_counts(), view.num_profiles(), acc,
-                                         nullptr, &view, profile, mode);
-}
-
-DeviationTable deviation_payoffs_all_sparse(const GameView& view, const MixedProfile& profile,
-                                            SweepMode mode) {
-    validate_view_profile_shape(view, profile, "deviation_payoffs_all_sparse(view)");
-    const ViewTensorDouble acc{&view};
-    return sparse_deviation_sweep<double>(view.action_counts(), view.num_profiles(), acc,
-                                          nullptr, &view, profile, mode);
-}
-
-std::vector<util::Rational> expected_payoffs_exact_sparse(const GameView& view,
-                                                          const ExactMixedProfile& profile,
-                                                          SweepMode mode) {
-    validate_view_profile_shape(view, profile, "expected_payoffs_exact_sparse(view)");
-    const ViewTensorExact acc{&view};
-    return sparse_expected_sweep<util::Rational>(view.action_counts(), view.num_profiles(),
-                                                 acc, nullptr, &view, profile, mode);
-}
-
-util::Rational expected_payoff_exact_sparse(const GameView& view,
-                                            const ExactMixedProfile& profile,
-                                            std::size_t player) {
-    validate_view_profile_shape(view, profile, "expected_payoff_exact_sparse(view)");
-    const ViewTensorExact acc{&view};
-    return sparse_expected_single_sweep<util::Rational>(view.action_counts(),
-                                                        view.num_profiles(), acc, nullptr,
-                                                        &view, profile, player);
-}
-
-ExactDeviationTable deviation_payoffs_all_exact_sparse(const GameView& view,
-                                                       const ExactMixedProfile& profile,
-                                                       SweepMode mode) {
-    validate_view_profile_shape(view, profile, "deviation_payoffs_all_exact_sparse(view)");
-    const ViewTensorExact acc{&view};
-    return sparse_deviation_sweep<util::Rational>(view.action_counts(), view.num_profiles(),
-                                                  acc, nullptr, &view, profile, mode);
+    validate_profile_shape(view_, profile, "deviation_payoffs_all_exact_sparse");
+    return sparse_deviation_sweep<util::Rational>(view_, profile, mode);
 }
 
 std::vector<std::size_t> PayoffEngine::best_responses(const MixedProfile& profile,

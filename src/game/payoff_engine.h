@@ -23,10 +23,16 @@
 //     merged in block order, so results are bit-identical whether the
 //     sweep ran serial or threaded.
 //
-// The engine is cheap to construct (it only derives strides and the
-// per-digit offset tables); solvers on hot loops construct one per run
-// and call deviation_payoffs_all once per iteration instead of once per
-// action.
+// The engine sweeps a GameView: the identity view of a NormalFormGame
+// (which converts implicitly), an action-restricted subgame, or a
+// player-permuted slice — all zero-copy, the walker stepping the view's
+// cell-offset tables straight into the parent tensor. Results on a view
+// are bit-identical to an engine on view.materialize(). The engine OWNS
+// its view by value, so an engine built from a converted game holds no
+// dangling view; only the parent game must outlive it. Construction
+// costs one view build (index tables, no tensor copy); solvers on hot
+// loops construct one per run and call deviation_payoffs_all once per
+// iteration instead of once per action.
 //
 // SPARSE-SUPPORT sweeps: the *_sparse entry points walk only the support
 // of the mixed profile (radix = |supp(sigma_i)| per digit), turning sweep
@@ -44,6 +50,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "game/game_view.h"
 #include "game/normal_form.h"
 #include "game/strategy.h"
 #include "util/rational.h"
@@ -53,8 +60,6 @@ class OffsetWalker;
 }  // namespace bnash::util
 
 namespace bnash::game {
-
-class GameView;
 
 // dev[player][action]: expected utility of `player` deviating to `action`
 // while everyone else follows the profile the table was computed from.
@@ -72,19 +77,13 @@ public:
     // so that threaded and serial sweeps merge identically.
     static constexpr std::uint64_t kParallelBlock = std::uint64_t{1} << 14;
 
-    explicit PayoffEngine(const NormalFormGame& game);
+    // Profiles are indexed in VIEW action space.
+    explicit PayoffEngine(GameView view);
 
-    [[nodiscard]] const NormalFormGame& game() const noexcept { return *game_; }
+    [[nodiscard]] const GameView& view() const noexcept { return view_; }
+    // Row-major strides of the view's action counts.
     [[nodiscard]] const std::vector<std::uint64_t>& strides() const noexcept {
         return strides_;
-    }
-    // Per-digit flat-tensor offsets (action a of player p contributes
-    // cell_offsets()[p][a] to a profile's payoff-row offset): the tables
-    // the shared util::OffsetWalker steps over. Same contract as
-    // GameView::cell_offsets — a dense game is the identity view.
-    [[nodiscard]] const std::vector<std::vector<std::uint64_t>>& cell_offsets()
-        const noexcept {
-        return cell_offsets_;
     }
 
     // Row-major rank via strides; O(players), no allocation.
@@ -141,52 +140,9 @@ public:
         const std::vector<double>& row, double tol);
 
 private:
-    const NormalFormGame* game_;
+    GameView view_;
     std::vector<std::uint64_t> strides_;
-    std::vector<std::vector<std::uint64_t>> cell_offsets_;
 };
-
-// --- zero-copy view sweeps -------------------------------------------------
-// The same single-sweep kernels run over a GameView: subgame expected and
-// deviation payoffs without materializing the restricted tensor. Block
-// decomposition and accumulation order match the dense sweeps, so the
-// results are bit-identical to constructing a PayoffEngine on
-// view.materialize(). Profiles are indexed in VIEW action space.
-[[nodiscard]] std::vector<double> expected_payoffs(const GameView& view,
-                                                   const MixedProfile& profile,
-                                                   SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] DeviationTable deviation_payoffs_all(const GameView& view,
-                                                   const MixedProfile& profile,
-                                                   SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] std::vector<double> deviation_row(const GameView& view,
-                                                const MixedProfile& profile,
-                                                std::size_t player);
-[[nodiscard]] std::vector<util::Rational> expected_payoffs_exact(
-    const GameView& view, const ExactMixedProfile& profile,
-    SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] util::Rational expected_payoff_exact(const GameView& view,
-                                                   const ExactMixedProfile& profile,
-                                                   std::size_t player);
-[[nodiscard]] ExactDeviationTable deviation_payoffs_all_exact(
-    const GameView& view, const ExactMixedProfile& profile,
-    SweepMode mode = SweepMode::kAuto);
-
-// Sparse-support view sweeps (zero-copy AND support-only: the robustness
-// engine's mixed fallback evaluates mostly point-mass profiles through
-// expected_payoff_exact_sparse).
-[[nodiscard]] std::vector<double> expected_payoffs_sparse(
-    const GameView& view, const MixedProfile& profile, SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] DeviationTable deviation_payoffs_all_sparse(
-    const GameView& view, const MixedProfile& profile, SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] std::vector<util::Rational> expected_payoffs_exact_sparse(
-    const GameView& view, const ExactMixedProfile& profile,
-    SweepMode mode = SweepMode::kAuto);
-[[nodiscard]] util::Rational expected_payoff_exact_sparse(const GameView& view,
-                                                          const ExactMixedProfile& profile,
-                                                          std::size_t player);
-[[nodiscard]] ExactDeviationTable deviation_payoffs_all_exact_sparse(
-    const GameView& view, const ExactMixedProfile& profile,
-    SweepMode mode = SweepMode::kAuto);
 
 // --- shared sparse-support plan ---------------------------------------------
 // The support restriction behind every *_sparse sweep, exposed so other
@@ -211,8 +167,8 @@ struct SupportPlan final {
 };
 
 // Plan over a view's cell-offset columns for an exact candidate profile
-// (the robustness engine's case; the engine-internal double/dense
-// variants stay private to the sweep kernels).
+// (the robustness engine's case; the engine's double-mirror plans stay
+// private to the sweep kernels).
 [[nodiscard]] SupportPlan build_support_plan(
     const GameView& view, const ExactMixedProfile& profile,
     std::size_t full_player = SupportPlan::kNoFullPlayer);

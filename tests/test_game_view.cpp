@@ -5,6 +5,9 @@
 // reduced game).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "game/catalog.h"
@@ -18,6 +21,12 @@ namespace bnash::game {
 namespace {
 
 using util::Rational;
+
+// A dense game converts to its identity view, but no view (and no engine,
+// which owns one) can be built from a temporary game: it would dangle.
+static_assert(std::is_convertible_v<const NormalFormGame&, GameView>);
+static_assert(!std::is_constructible_v<GameView, NormalFormGame&&>);
+static_assert(!std::is_constructible_v<PayoffEngine, NormalFormGame&&>);
 
 std::vector<std::size_t> random_shape(util::Rng& rng, std::size_t players) {
     std::vector<std::size_t> counts(players);
@@ -169,64 +178,130 @@ TEST(GameView, ValidationMatchesRestrict) {
 
 // ------------------------------------------------------- engine view sweeps
 
-TEST(GameView, EngineSweepsOnViewsAreBitIdenticalToMaterialized) {
-    util::Rng rng{23};
-    for (int trial = 0; trial < 10; ++trial) {
-        const auto g = NormalFormGame::random(random_shape(rng, 3), rng);
-        std::vector<std::vector<std::size_t>> kept(3);
-        for (std::size_t p = 0; p < 3; ++p) kept[p] = random_kept(rng, g.num_actions(p));
-        const auto view = g.restrict_view(kept);
-        const auto materialized = view.materialize();
-        const PayoffEngine engine(materialized);
+// One case per (seeded game, view kind, sweep mode). Identity views are
+// the dense games themselves, restricted views skip parent actions, and
+// permuted views read every payoff through a non-identity player column
+// map. The {200, 200} games exceed kParallelBlock profiles even
+// after restriction, pinning the incremental running-row odometer across
+// block boundaries (each block re-derives its entry row from the unranked
+// tuple, then steps by cell-offset deltas), serial and parallel.
+enum class ViewKind { kIdentity, kRestricted, kPermuted };
 
-        const auto mixed = random_mixed(view.action_counts(), rng);
-        EXPECT_EQ(expected_payoffs(view, mixed), engine.expected_payoffs(mixed));
-        EXPECT_EQ(deviation_payoffs_all(view, mixed), engine.deviation_payoffs_all(mixed));
-        for (std::size_t p = 0; p < 3; ++p) {
-            EXPECT_EQ(deviation_row(view, mixed, p), engine.deviation_row(mixed, p));
+struct ViewSweepCase final {
+    std::vector<std::size_t> shape;
+    std::uint64_t seed = 0;
+    ViewKind kind = ViewKind::kIdentity;
+    SweepMode mode = SweepMode::kSerial;
+};
+
+std::string case_name(const testing::TestParamInfo<ViewSweepCase>& info) {
+    const auto& c = info.param;
+    std::string name = c.kind == ViewKind::kIdentity     ? "Identity"
+                       : c.kind == ViewKind::kRestricted ? "Restricted"
+                                                         : "Permuted";
+    for (const std::size_t count : c.shape) name += "_" + std::to_string(count);
+    return name + (c.mode == SweepMode::kSerial ? "_Serial" : "_Auto");
+}
+
+GameView view_of(const NormalFormGame& g, ViewKind kind) {
+    switch (kind) {
+        case ViewKind::kIdentity:
+            return g;
+        case ViewKind::kRestricted: {
+            // Drop every fourth action (action 0 always survives).
+            std::vector<std::vector<std::size_t>> kept(g.num_players());
+            for (std::size_t p = 0; p < g.num_players(); ++p) {
+                for (std::size_t a = 0; a < g.num_actions(p); ++a) {
+                    if (a % 4 != 3) kept[p].push_back(a);
+                }
+            }
+            return g.restrict_view(kept);
         }
+        case ViewKind::kPermuted: {
+            std::vector<std::size_t> order(g.num_players());
+            for (std::size_t p = 0; p < order.size(); ++p) order[p] = order.size() - 1 - p;
+            return GameView::permute(g, order);
+        }
+    }
+    return g;
+}
 
-        const auto exact = random_exact(view.action_counts(), rng);
-        EXPECT_EQ(expected_payoffs_exact(view, exact), engine.expected_payoffs_exact(exact));
-        EXPECT_EQ(deviation_payoffs_all_exact(view, exact),
-                  engine.deviation_payoffs_all_exact(exact));
+class EngineViewSweeps : public testing::TestWithParam<ViewSweepCase> {};
+
+TEST_P(EngineViewSweeps, BitIdenticalToMaterialized) {
+    const auto& c = GetParam();
+    util::Rng rng{c.seed};
+    const auto g = NormalFormGame::random(c.shape, rng, -5, 5);
+    const GameView view = view_of(g, c.kind);
+    const auto materialized = view.materialize();
+    const PayoffEngine on_view(view);
+    const PayoffEngine dense(materialized);
+    const std::size_t n = view.num_players();
+    const auto mode = c.mode;
+
+    // Full-support double profile for the dense sweeps; an exact profile
+    // with zero weights (and its double mirror) so the sparse sweeps skip
+    // part of the tensor.
+    const auto mixed = random_mixed(view.action_counts(), rng);
+    const auto exact = random_exact(view.action_counts(), rng);
+    const auto sparse = to_double(exact);
+
+    EXPECT_EQ(on_view.expected_payoffs(mixed, mode), dense.expected_payoffs(mixed, mode));
+    EXPECT_EQ(on_view.deviation_payoffs_all(mixed, mode),
+              dense.deviation_payoffs_all(mixed, mode));
+    EXPECT_EQ(on_view.expected_payoffs_sparse(sparse, mode),
+              dense.expected_payoffs_sparse(sparse, mode));
+    EXPECT_EQ(on_view.deviation_payoffs_all_sparse(sparse, mode),
+              dense.deviation_payoffs_all_sparse(sparse, mode));
+    EXPECT_EQ(on_view.expected_payoffs_exact(exact, mode),
+              dense.expected_payoffs_exact(exact, mode));
+    EXPECT_EQ(on_view.deviation_payoffs_all_exact(exact, mode),
+              dense.deviation_payoffs_all_exact(exact, mode));
+    EXPECT_EQ(on_view.expected_payoffs_exact_sparse(exact, mode),
+              dense.expected_payoffs_exact_sparse(exact, mode));
+    EXPECT_EQ(on_view.deviation_payoffs_all_exact_sparse(exact, mode),
+              dense.deviation_payoffs_all_exact_sparse(exact, mode));
+    for (std::size_t p = 0; p < n; ++p) {
+        EXPECT_EQ(on_view.expected_payoff(mixed, p), dense.expected_payoff(mixed, p));
+        EXPECT_EQ(on_view.deviation_row(mixed, p), dense.deviation_row(mixed, p));
+        EXPECT_EQ(on_view.expected_payoff_sparse(sparse, p),
+                  dense.expected_payoff_sparse(sparse, p));
+        EXPECT_EQ(on_view.expected_payoff_exact(exact, p), dense.expected_payoff_exact(exact, p));
+        EXPECT_EQ(on_view.deviation_row_exact(exact, p), dense.deviation_row_exact(exact, p));
+        EXPECT_EQ(on_view.expected_payoff_exact_sparse(exact, p),
+                  dense.expected_payoff_exact_sparse(exact, p));
     }
 }
 
-TEST(GameView, MultiBlockViewSweepsAreBitIdenticalToMaterialized) {
-    // Enough view profiles (> kParallelBlock) to split the sweep into
-    // several blocks: pins the incremental running-row odometer across
-    // block boundaries (each block re-derives its entry row from the
-    // unranked tuple, then steps by cell-offset deltas) against the
-    // materialized dense sweep, serial and parallel.
+std::vector<ViewSweepCase> view_sweep_cases() {
+    const std::vector<std::pair<std::vector<std::size_t>, std::uint64_t>> games{
+        {{3, 4, 2}, 23}, {{2, 3, 2, 3}, 29}, {{200, 200}, 37}};
+    std::vector<ViewSweepCase> cases;
+    for (const auto& [shape, seed] : games) {
+        for (const auto kind : {ViewKind::kIdentity, ViewKind::kRestricted, ViewKind::kPermuted}) {
+            for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
+                cases.push_back(ViewSweepCase{shape, seed, kind, mode});
+            }
+        }
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Views, EngineViewSweeps, testing::ValuesIn(view_sweep_cases()),
+                         case_name);
+
+TEST(GameView, MultiBlockCasesSpanSeveralBlocks) {
     util::Rng rng{37};
     const auto g = NormalFormGame::random({200, 200}, rng, -5, 5);
-    std::vector<std::vector<std::size_t>> kept(2);
-    for (std::size_t a = 0; a < 200; ++a) {
-        if (a % 5 != 0) kept[0].push_back(a);  // 160 kept
-        if (a % 3 != 2) kept[1].push_back(a);  // 134 kept
-    }
-    const auto view = g.restrict_view(kept);
-    ASSERT_GT(view.num_profiles(), PayoffEngine::kParallelBlock);
-    const auto materialized = view.materialize();
-    const PayoffEngine engine(materialized);
-    const auto mixed = random_mixed(view.action_counts(), rng);
-    for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
-        EXPECT_EQ(expected_payoffs(view, mixed, mode), engine.expected_payoffs(mixed, mode));
-        EXPECT_EQ(deviation_payoffs_all(view, mixed, mode),
-                  engine.deviation_payoffs_all(mixed, mode));
-    }
-    for (std::size_t p = 0; p < 2; ++p) {
-        EXPECT_EQ(deviation_row(view, mixed, p), engine.deviation_row(mixed, p));
-    }
+    EXPECT_GT(view_of(g, ViewKind::kRestricted).num_profiles(), PayoffEngine::kParallelBlock);
 }
 
 TEST(GameView, ViewSweepValidatesProfileShape) {
     util::Rng rng{29};
     const auto g = NormalFormGame::random({3, 3}, rng);
-    const auto view = g.restrict_view({{0, 2}, {1, 2}});
+    const PayoffEngine engine(g.restrict_view({{0, 2}, {1, 2}}));
     MixedProfile wrong{{0.5, 0.5, 0.0}, {0.5, 0.5}};  // player 0 has 2 view actions
-    EXPECT_THROW((void)expected_payoffs(view, wrong), std::invalid_argument);
+    EXPECT_THROW((void)engine.expected_payoffs(wrong), std::invalid_argument);
 }
 
 // -------------------------------------------------- zero-copy elimination

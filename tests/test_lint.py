@@ -94,6 +94,12 @@ class BadTree(unittest.TestCase):
         hits = self.hits("include-hygiene", "own_header.cpp")
         self.assertTrue(any("own" in f["message"] for f in hits), self.out)
 
+    def test_twin_overload_fires_per_twin(self):
+        hits = self.hits("twin-overload", "bad_twin.h")
+        # free checker, constructor, multi-line twin; reference:: is exempt
+        self.assertEqual(sorted(f["context"] for f in hits),
+                         ["FixtureSweep", "fixture_walk", "is_fixture_robust"], self.out)
+
     def test_empty_waiver_reason_does_not_suppress(self):
         self.assertTrue(self.hits("no-rand", "bad_waiver.cpp"), self.out)
 

@@ -22,6 +22,7 @@
 #include "core/robust/robustness.h"
 #include "game/game_view.h"
 #include "game/normal_form.h"
+#include "game/payoff_engine.h"
 #include "solver/iterated_elimination.h"
 #include "util/rng.h"
 
@@ -346,24 +347,23 @@ TEST(RobustFuzz, SparseViewSweepsMatchDenseOnRandomRestrictions) {
         }
         const std::string label = "sparse view trial " + std::to_string(trial);
 
-        EXPECT_EQ(game::expected_payoffs_exact_sparse(view, profile),
-                  game::expected_payoffs_exact(view, profile))
+        const game::PayoffEngine engine(view);
+        EXPECT_EQ(engine.expected_payoffs_exact_sparse(profile),
+                  engine.expected_payoffs_exact(profile))
             << label;
-        EXPECT_EQ(game::deviation_payoffs_all_exact_sparse(view, profile),
-                  game::deviation_payoffs_all_exact(view, profile))
+        EXPECT_EQ(engine.deviation_payoffs_all_exact_sparse(profile),
+                  engine.deviation_payoffs_all_exact(profile))
             << label;
         for (std::size_t p = 0; p < n; ++p) {
-            EXPECT_EQ(game::expected_payoff_exact_sparse(view, profile, p),
-                      game::expected_payoff_exact(view, profile, p))
+            EXPECT_EQ(engine.expected_payoff_exact_sparse(profile, p),
+                      engine.expected_payoff_exact(profile, p))
                 << label << " player " << p;
         }
         // Double mirror: bitwise equality (same walk, same block cuts).
         const auto mixed = game::to_double(profile);
-        EXPECT_EQ(game::expected_payoffs_sparse(view, mixed),
-                  game::expected_payoffs(view, mixed))
+        EXPECT_EQ(engine.expected_payoffs_sparse(mixed), engine.expected_payoffs(mixed))
             << label;
-        EXPECT_EQ(game::deviation_payoffs_all_sparse(view, mixed),
-                  game::deviation_payoffs_all(view, mixed))
+        EXPECT_EQ(engine.deviation_payoffs_all_sparse(mixed), engine.deviation_payoffs_all(mixed))
             << label;
     }
 }

@@ -548,13 +548,14 @@ TEST(SymmetryPayoffs, OrbitEntryPointsMatchDenseExact) {
         }
         for (std::size_t i = 0; i < n; ++i) profile[i] = sigma[group.class_of(i)];
 
-        const auto dense = game::expected_payoffs_exact(view, profile);
+        const game::PayoffEngine engine(view);
+        const auto dense = engine.expected_payoffs_exact(profile);
         const auto orbit = game::expected_payoffs_exact_orbit(view, group, profile);
         ASSERT_EQ(dense.size(), orbit.size());
         for (std::size_t i = 0; i < n; ++i) {
             EXPECT_EQ(dense[i], orbit[i]) << "trial " << trial << " player " << i;
         }
-        const auto dense_dev = game::deviation_payoffs_all_exact(view, profile);
+        const auto dense_dev = engine.deviation_payoffs_all_exact(profile);
         const auto orbit_dev = game::deviation_payoffs_all_exact_orbit(view, group, profile);
         EXPECT_EQ(dense_dev, orbit_dev) << "trial " << trial;
     }
