@@ -31,17 +31,9 @@ using util::Rational;
 class Evaluator final {
 public:
     Evaluator(const NormalFormGame& game, const ExactMixedProfile& profile)
-        : game_(game), profile_(&profile), pure_(as_pure_profile(profile)) {
-        if (pure_) {
-            set_base_rank();
-        } else {
-            engine_.emplace(game);
-        }
-    }
+        : Evaluator(game, as_pure_profile(profile), &profile) {}
     Evaluator(const NormalFormGame& game, const PureProfile& profile)
-        : game_(game), pure_(profile) {
-        set_base_rank();
-    }
+        : Evaluator(game, profile, nullptr) {}
 
     [[nodiscard]] Rational utility(const std::vector<std::size_t>& who,
                                    const PureProfile& actions, std::size_t player) const {
@@ -68,15 +60,21 @@ public:
     }
 
 private:
-    void set_base_rank() {
-        const auto& counts = game_.action_counts();
-        strides_.assign(counts.size(), 1);
-        for (std::size_t i = counts.size(); i-- > 1;) strides_[i - 1] = strides_[i] * counts[i];
-        for (std::size_t i = 0; i < counts.size(); ++i) base_rank_ += (*pure_)[i] * strides_[i];
+    // A pure candidate needs its rank and the strides; only a mixed one
+    // builds a payoff engine.
+    Evaluator(const NormalFormGame& game, std::optional<PureProfile> pure,
+              const ExactMixedProfile* profile)
+        : game_(game), profile_(profile), pure_(std::move(pure)) {
+        if (pure_) {
+            strides_ = util::product_strides(game.action_counts());
+            base_rank_ = game.profile_rank(*pure_);
+        } else {
+            engine_.emplace(game);
+        }
     }
 
     const NormalFormGame& game_;
-    const ExactMixedProfile* profile_ = nullptr;  // set iff the candidate is mixed
+    const ExactMixedProfile* profile_;  // read by mixed candidates only
     std::optional<PureProfile> pure_;
     std::optional<game::PayoffEngine> engine_;  // mixed candidates only
     std::vector<std::uint64_t> strides_;        // pure candidates only

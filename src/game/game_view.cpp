@@ -21,12 +21,10 @@ GameView::GameView(const NormalFormGame& parent, std::vector<std::size_t> player
 
 void GameView::rebuild_tables() {
     const std::size_t parent_n = parent_->num_players();
-    // Parent row-major strides, premultiplied by the row width so cell
-    // offsets land directly in flat-tensor units.
-    std::vector<std::uint64_t> strides(parent_n, parent_n);
-    for (std::size_t i = parent_n - 1; i-- > 0;) {
-        strides[i] = strides[i + 1] * parent_->num_actions(i + 1);
-    }
+    // Parent row-major strides, scaled by the row width so cell offsets
+    // land directly in flat-tensor units.
+    std::vector<std::uint64_t> strides = util::product_strides(parent_->action_counts());
+    for (auto& stride : strides) stride *= parent_n;
     const std::size_t n = player_map_.size();
     action_counts_.assign(n, 0);
     cell_offsets_.assign(n, {});

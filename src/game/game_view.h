@@ -75,10 +75,6 @@ public:
     [[nodiscard]] std::size_t parent_player(std::size_t player) const {
         return player_map_.at(player);
     }
-    // The whole map: view player p reads parent column player_map()[p].
-    [[nodiscard]] const std::vector<std::size_t>& player_map() const noexcept {
-        return player_map_;
-    }
 
     // --- flat-offset hot path ------------------------------------------------
     // row_offset(tuple) = sum of cell_offset(p, tuple[p]): the flat index

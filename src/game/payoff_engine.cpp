@@ -27,21 +27,16 @@ inline bool sweep_zero(const util::Rational& value) { return value.is_zero(); }
 // yields a util::OffsetWalker over the view's per-digit cell-offset
 // tables (the ONE incremental odometer every kernel steps, landing
 // straight in the PARENT tensor: zero copy), and `at(row, i)` reads view
-// player i's payoff from the walker's current row through the view's
-// player column map.
-template <typename V>
+// player i's payoff from the walker's current row. With kIdentityColumns
+// (view player i is parent player i: every dense game and its action
+// restrictions) `at` reads the parent row directly instead of through
+// the view's player column map: reading through the map made
+// bench_deviation_dense_6p8a_support2 ~30% slower.
+template <typename V, bool kIdentityColumns>
 struct ViewTensor {
     const GameView* view;
-    const V* data;              // the parent's flat tensor of this value type
-    const std::size_t* column;  // view player i reads parent column column[i]
 
-    explicit ViewTensor(const GameView& v) : view(&v), column(v.player_map().data()) {
-        if constexpr (std::is_same_v<V, double>) {
-            data = v.parent().payoffs_d_flat().data();
-        } else {
-            data = v.parent().payoffs_flat().data();
-        }
-    }
+    explicit ViewTensor(const GameView& v) : view(&v) {}
     [[nodiscard]] util::OffsetWalker make_walker() const {
         util::OffsetWalker walker;
         walker.reserve(view->num_players());
@@ -51,14 +46,32 @@ struct ViewTensor {
         }
         return walker;
     }
-    [[nodiscard]] const V& at(std::uint64_t row, std::size_t i) const noexcept {
-        return data[row + column[i]];
+    [[nodiscard]] decltype(auto) at(std::uint64_t row, std::size_t i) const {
+        if constexpr (kIdentityColumns && std::is_same_v<V, double>) {
+            return view->parent().payoffs_d_flat()[row + i];
+        } else if constexpr (kIdentityColumns) {
+            return view->parent().payoffs_flat()[row + i];
+        } else if constexpr (std::is_same_v<V, double>) {
+            return view->payoff_d_from(row, i);
+        } else {
+            return view->payoff_from(row, i);
+        }
     }
 };
 
+// Calls fn with the view's accessor, specialized on whether its player
+// map is the identity.
+template <typename V, typename Fn>
+void with_tensor(const GameView& view, Fn&& fn) {
+    for (std::size_t p = 0; p < view.num_players(); ++p) {
+        if (view.parent_player(p) != p) return fn(ViewTensor<V, false>(view));
+    }
+    fn(ViewTensor<V, true>(view));
+}
+
 // totals[i] += weight * row[i] for every player.
-template <typename V>
-inline void accumulate_all(const ViewTensor<V>& acc, std::uint64_t row, const V& weight,
+template <typename V, typename Acc>
+inline void accumulate_all(const Acc& acc, std::uint64_t row, const V& weight,
                            std::vector<V>& totals) {
     for (std::size_t i = 0; i < totals.size(); ++i) totals[i] += weight * acc.at(row, i);
 }
@@ -67,8 +80,8 @@ inline void accumulate_all(const ViewTensor<V>& acc, std::uint64_t row, const V&
 // Prefix/suffix probability products give weight_excluding(i) for all i
 // in O(players) per profile — the marginalization that replaces the
 // seed's one-full-sweep-per-(player, action).
-template <typename V, typename ProfileT>
-void deviation_block(const ProfileT& profile, const ViewTensor<V>& acc, std::uint64_t begin,
+template <typename V, typename ProfileT, typename Acc>
+void deviation_block(const ProfileT& profile, const Acc& acc, std::uint64_t begin,
                      std::uint64_t end, std::vector<std::vector<V>>& dev) {
     const std::size_t n = profile.size();
     util::OffsetWalker walker = acc.make_walker();
@@ -95,8 +108,8 @@ void deviation_block(const ProfileT& profile, const ViewTensor<V>& acc, std::uin
 
 // One player's deviation row only (best_responses against a fixed rival
 // profile needs nothing else).
-template <typename V, typename ProfileT>
-void deviation_row_block(const ProfileT& profile, const ViewTensor<V>& acc,
+template <typename V, typename ProfileT, typename Acc>
+void deviation_row_block(const ProfileT& profile, const Acc& acc,
                          std::size_t player, std::uint64_t begin, std::uint64_t end,
                          std::vector<V>& dev_row) {
     const std::size_t n = profile.size();
@@ -120,8 +133,8 @@ void deviation_row_block(const ProfileT& profile, const ViewTensor<V>& acc,
 // per profile, but only a single accumulation — on the exact path each
 // accumulation is a Rational multiply-add, so single-player callers (the
 // robustness Evaluator's mixed fallback) skip n-1 of them.
-template <typename V, typename ProfileT>
-void expected_single_block(const ProfileT& profile, const ViewTensor<V>& acc,
+template <typename V, typename ProfileT, typename Acc>
+void expected_single_block(const ProfileT& profile, const Acc& acc,
                            std::size_t player, std::uint64_t begin, std::uint64_t end,
                            V& total) {
     const std::size_t n = profile.size();
@@ -140,8 +153,8 @@ void expected_single_block(const ProfileT& profile, const ViewTensor<V>& acc,
 }
 
 // All players' expected payoffs: one weight product per profile.
-template <typename V, typename ProfileT>
-void expected_block(const ProfileT& profile, const ViewTensor<V>& acc, std::uint64_t begin,
+template <typename V, typename ProfileT, typename Acc>
+void expected_block(const ProfileT& profile, const Acc& acc, std::uint64_t begin,
                     std::uint64_t end, std::vector<V>& totals) {
     const std::size_t n = profile.size();
     util::OffsetWalker walker = acc.make_walker();
@@ -249,13 +262,14 @@ void validate_profile_shape(const GameView& view, const ProfileT& profile, const
 template <typename V, typename ProfileT>
 std::vector<std::vector<V>> deviation_sweep(const GameView& view, const ProfileT& profile,
                                             SweepMode mode) {
-    const ViewTensor<V> acc(view);
     const auto& counts = view.action_counts();
     auto dev = make_table<V>(counts);
     blocked_sweep(
         view.num_profiles(), mode, dev, [&] { return make_table<V>(counts); },
         [&](std::uint64_t lo, std::uint64_t hi, std::vector<std::vector<V>>& table) {
-            deviation_block<V>(profile, acc, lo, hi, table);
+            with_tensor<V>(view, [&](const auto& acc) {
+                deviation_block<V>(profile, acc, lo, hi, table);
+            });
         },
         [](std::vector<std::vector<V>>& into, const std::vector<std::vector<V>>& part) {
             for (std::size_t i = 0; i < into.size(); ++i) {
@@ -267,13 +281,14 @@ std::vector<std::vector<V>> deviation_sweep(const GameView& view, const ProfileT
 
 template <typename V, typename ProfileT>
 std::vector<V> expected_sweep(const GameView& view, const ProfileT& profile, SweepMode mode) {
-    const ViewTensor<V> acc(view);
     const std::size_t n = view.num_players();
     std::vector<V> totals(n, V{0});
     blocked_sweep(
         view.num_profiles(), mode, totals, [&] { return std::vector<V>(n, V{0}); },
         [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-            expected_block<V>(profile, acc, lo, hi, table);
+            with_tensor<V>(view, [&](const auto& acc) {
+                expected_block<V>(profile, acc, lo, hi, table);
+            });
         },
         [](std::vector<V>& into, const std::vector<V>& part) {
             for (std::size_t i = 0; i < into.size(); ++i) into[i] += part[i];
@@ -283,12 +298,13 @@ std::vector<V> expected_sweep(const GameView& view, const ProfileT& profile, Swe
 
 template <typename V, typename ProfileT>
 V expected_single_sweep(const GameView& view, const ProfileT& profile, std::size_t player) {
-    const ViewTensor<V> acc(view);
     V total{0};
     blocked_sweep(
         view.num_profiles(), SweepMode::kAuto, total, [] { return V{0}; },
         [&](std::uint64_t lo, std::uint64_t hi, V& table) {
-            expected_single_block<V>(profile, acc, player, lo, hi, table);
+            with_tensor<V>(view, [&](const auto& acc) {
+                expected_single_block<V>(profile, acc, player, lo, hi, table);
+            });
         },
         [](V& into, const V& part) { into += part; });
     return total;
@@ -296,13 +312,14 @@ V expected_single_sweep(const GameView& view, const ProfileT& profile, std::size
 
 template <typename V, typename ProfileT>
 std::vector<V> row_sweep(const GameView& view, const ProfileT& profile, std::size_t player) {
-    const ViewTensor<V> acc(view);
     const std::size_t width = view.num_actions(player);
     std::vector<V> row(width, V{0});
     blocked_sweep(
         view.num_profiles(), SweepMode::kAuto, row, [&] { return std::vector<V>(width, V{0}); },
         [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-            deviation_row_block<V>(profile, acc, player, lo, hi, table);
+            with_tensor<V>(view, [&](const auto& acc) {
+                deviation_row_block<V>(profile, acc, player, lo, hi, table);
+            });
         },
         [](std::vector<V>& into, const std::vector<V>& part) {
             for (std::size_t a = 0; a < into.size(); ++a) into[a] += part[a];
@@ -422,9 +439,9 @@ template <typename V, typename ProfileT>
 // Sparse expected sweep over one block: the weight is the same left-fold
 // product the dense kernel computes, but only digits at or above the
 // walker's lowest changed digit recompute (incremental prefix products).
-template <typename V, typename ProfileT>
+template <typename V, typename ProfileT, typename Acc>
 void sparse_expected_block(const SupportPlan& plan, const ProfileT& profile,
-                           const ViewTensor<V>& acc, std::uint64_t begin, std::uint64_t end,
+                           const Acc& acc, std::uint64_t begin, std::uint64_t end,
                            std::vector<V>& totals) {
     const std::size_t n = plan.radices.size();
     util::OffsetWalker walker = plan.make_walker();
@@ -447,9 +464,9 @@ void sparse_expected_block(const SupportPlan& plan, const ProfileT& profile,
     util::work_counters_add(end - begin, walker.digit_moves());
 }
 
-template <typename V, typename ProfileT>
+template <typename V, typename ProfileT, typename Acc>
 void sparse_expected_single_block(const SupportPlan& plan, const ProfileT& profile,
-                                  const ViewTensor<V>& acc, std::size_t player,
+                                  const Acc& acc, std::size_t player,
                                   std::uint64_t begin, std::uint64_t end, V& total) {
     const std::size_t n = plan.radices.size();
     util::OffsetWalker walker = plan.make_walker();
@@ -476,9 +493,9 @@ void sparse_expected_single_block(const SupportPlan& plan, const ProfileT& profi
 // everyone else's support. weight = prefix[player] * tail reproduces the
 // dense kernel's prefix[i] * suffix[i+1] fold exactly (same operand
 // order), so the row is bit-identical to the dense deviation table's.
-template <typename V, typename ProfileT>
+template <typename V, typename ProfileT, typename Acc>
 void sparse_row_block(const SupportPlan& plan, const ProfileT& profile,
-                      const ViewTensor<V>& acc, std::size_t player, std::uint64_t begin,
+                      const Acc& acc, std::size_t player, std::uint64_t begin,
                       std::uint64_t end, std::vector<V>& dev_row) {
     const std::size_t n = plan.radices.size();
     util::OffsetWalker walker = plan.make_walker();
@@ -515,12 +532,13 @@ std::vector<V> sparse_expected_sweep(const GameView& view, const ProfileT& profi
     std::vector<V> totals(n, V{0});
     const auto plan = make_support_plan(view, profile, kNoFullPlayer);
     if (plan.dead) return totals;
-    const ViewTensor<V> acc(view);
     blocked_sweep_ranges(
         support_blocks(view.action_counts(), view.num_profiles(), plan), mode, totals,
         [&] { return std::vector<V>(n, V{0}); },
         [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-            sparse_expected_block<V>(plan, profile, acc, lo, hi, table);
+            with_tensor<V>(view, [&](const auto& acc) {
+                sparse_expected_block<V>(plan, profile, acc, lo, hi, table);
+            });
         },
         [](std::vector<V>& into, const std::vector<V>& part) {
             for (std::size_t i = 0; i < into.size(); ++i) into[i] += part[i];
@@ -534,12 +552,13 @@ V sparse_expected_single_sweep(const GameView& view, const ProfileT& profile,
     V total{0};
     const auto plan = make_support_plan(view, profile, kNoFullPlayer);
     if (plan.dead) return total;
-    const ViewTensor<V> acc(view);
     blocked_sweep_ranges(
         support_blocks(view.action_counts(), view.num_profiles(), plan), SweepMode::kAuto,
         total, [] { return V{0}; },
         [&](std::uint64_t lo, std::uint64_t hi, V& table) {
-            sparse_expected_single_block<V>(plan, profile, acc, player, lo, hi, table);
+            with_tensor<V>(view, [&](const auto& acc) {
+                sparse_expected_single_block<V>(plan, profile, acc, player, lo, hi, table);
+            });
         },
         [](V& into, const V& part) { into += part; });
     return total;
@@ -549,7 +568,6 @@ template <typename V, typename ProfileT>
 std::vector<std::vector<V>> sparse_deviation_sweep(const GameView& view,
                                                    const ProfileT& profile, SweepMode mode) {
     const auto& counts = view.action_counts();
-    const ViewTensor<V> acc(view);
     auto dev = make_table<V>(counts);
     for (std::size_t player = 0; player < counts.size(); ++player) {
         const auto plan = make_support_plan(view, profile, player);
@@ -558,7 +576,9 @@ std::vector<std::vector<V>> sparse_deviation_sweep(const GameView& view,
             support_blocks(counts, view.num_profiles(), plan), mode, dev[player],
             [&] { return std::vector<V>(counts[player], V{0}); },
             [&](std::uint64_t lo, std::uint64_t hi, std::vector<V>& table) {
-                sparse_row_block<V>(plan, profile, acc, player, lo, hi, table);
+                with_tensor<V>(view, [&](const auto& acc) {
+                    sparse_row_block<V>(plan, profile, acc, player, lo, hi, table);
+                });
             },
             [](std::vector<V>& into, const std::vector<V>& part) {
                 for (std::size_t a = 0; a < into.size(); ++a) into[a] += part[a];
@@ -626,13 +646,8 @@ SupportPlan build_support_plan_from_dists(const std::vector<std::vector<double>>
     return plan;
 }
 
-PayoffEngine::PayoffEngine(GameView view) : view_(std::move(view)) {
-    const auto& counts = view_.action_counts();
-    strides_.assign(counts.size(), 1);
-    for (std::size_t i = counts.size() - 1; i-- > 0;) {
-        strides_[i] = strides_[i + 1] * counts[i + 1];
-    }
-}
+PayoffEngine::PayoffEngine(GameView view)
+    : view_(std::move(view)), strides_(util::product_strides(view_.action_counts())) {}
 
 std::uint64_t PayoffEngine::rank_of(const PureProfile& profile) const {
     std::uint64_t rank = 0;

@@ -26,13 +26,15 @@
 // The engine sweeps a GameView: the identity view of a NormalFormGame
 // (which converts implicitly), an action-restricted subgame, or a
 // player-permuted slice — all zero-copy, the walker stepping the view's
-// cell-offset tables straight into the parent tensor. Results on a view
-// are bit-identical to an engine on view.materialize(). The engine OWNS
-// its view by value, so an engine built from a converted game holds no
-// dangling view; only the parent game must outlive it. Construction
-// costs one view build (index tables, no tensor copy); solvers on hot
-// loops construct one per run and call deviation_payoffs_all once per
-// iteration instead of once per action.
+// cell-offset tables straight into the parent tensor. A view whose
+// player map is the identity (every dense game and its restrictions)
+// reads each payoff row directly; a permuted view reads through its
+// player column map. Results on a view are bit-identical to an engine on
+// view.materialize(). The engine OWNS its view by value, so an engine
+// built from a converted game holds no dangling view; only the parent
+// game must outlive it. Construction costs one view build (index tables,
+// no tensor copy); solvers on hot loops construct one per run and call
+// deviation_payoffs_all once per iteration instead of once per action.
 //
 // SPARSE-SUPPORT sweeps: the *_sparse entry points walk only the support
 // of the mixed profile (radix = |supp(sigma_i)| per digit), turning sweep

@@ -137,6 +137,12 @@ std::uint64_t product_rank(const std::vector<std::size_t>& radices,
     return rank;
 }
 
+std::vector<std::uint64_t> product_strides(const std::vector<std::size_t>& radices) {
+    std::vector<std::uint64_t> strides(radices.size(), 1);
+    for (std::size_t i = radices.size(); i-- > 1;) strides[i - 1] = strides[i] * radices[i];
+    return strides;
+}
+
 std::vector<std::size_t> product_unrank(const std::vector<std::size_t>& radices,
                                         std::uint64_t rank) {
     std::vector<std::size_t> tuple(radices.size(), 0);

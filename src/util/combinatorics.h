@@ -85,6 +85,8 @@ bool product_for_each(const std::vector<std::size_t>& radices, std::uint64_t beg
                                          const std::vector<std::size_t>& tuple);
 [[nodiscard]] std::vector<std::size_t> product_unrank(const std::vector<std::size_t>& radices,
                                                       std::uint64_t rank);
+// Row-major strides: rank = sum_i tuple[i] * strides[i].
+[[nodiscard]] std::vector<std::uint64_t> product_strides(const std::vector<std::size_t>& radices);
 
 // n choose k without overflow for the sizes used here (throws otherwise).
 [[nodiscard]] std::uint64_t binomial(std::size_t n, std::size_t k);

@@ -179,13 +179,16 @@ TEST(GameView, ValidationMatchesRestrict) {
 // ------------------------------------------------------- engine view sweeps
 
 // One case per (seeded game, view kind, sweep mode). Identity views are
-// the dense games themselves, restricted views skip parent actions, and
-// permuted views read every payoff through a non-identity player column
-// map. The {200, 200} games exceed kParallelBlock profiles even
-// after restriction, pinning the incremental running-row odometer across
-// block boundaries (each block re-derives its entry row from the unranked
-// tuple, then steps by cell-offset deltas), serial and parallel.
-enum class ViewKind { kIdentity, kRestricted, kPermuted };
+// the dense games themselves; restricted views drop action 0 (so every
+// walk starts at a non-zero cell offset) and every fourth action after
+// it; randomly restricted views keep a seeded random subset, which may cut
+// a player down to one action; permuted views read every payoff through a
+// non-identity player column map. The {200, 200} games exceed
+// kParallelBlock profiles even after restriction, pinning the incremental
+// running-row odometer across block boundaries (each block re-derives its
+// entry row from the unranked tuple, then steps by cell-offset deltas),
+// serial and parallel.
+enum class ViewKind { kIdentity, kRestricted, kRandomRestricted, kPermuted };
 
 struct ViewSweepCase final {
     std::vector<std::size_t> shape;
@@ -196,27 +199,32 @@ struct ViewSweepCase final {
 
 std::string case_name(const testing::TestParamInfo<ViewSweepCase>& info) {
     const auto& c = info.param;
-    std::string name = c.kind == ViewKind::kIdentity     ? "Identity"
-                       : c.kind == ViewKind::kRestricted ? "Restricted"
-                                                         : "Permuted";
+    std::string name = c.kind == ViewKind::kIdentity           ? "Identity"
+                       : c.kind == ViewKind::kRestricted       ? "Restricted"
+                       : c.kind == ViewKind::kRandomRestricted ? "RandomRestricted"
+                                                               : "Permuted";
     for (const std::size_t count : c.shape) name += "_" + std::to_string(count);
+    if (c.kind == ViewKind::kRandomRestricted) name += "_Seed" + std::to_string(c.seed);
     return name + (c.mode == SweepMode::kSerial ? "_Serial" : "_Auto");
 }
 
-GameView view_of(const NormalFormGame& g, ViewKind kind) {
+GameView view_of(const NormalFormGame& g, ViewKind kind, util::Rng& rng) {
+    std::vector<std::vector<std::size_t>> kept(g.num_players());
     switch (kind) {
         case ViewKind::kIdentity:
             return g;
-        case ViewKind::kRestricted: {
-            // Drop every fourth action (action 0 always survives).
-            std::vector<std::vector<std::size_t>> kept(g.num_players());
+        case ViewKind::kRestricted:
             for (std::size_t p = 0; p < g.num_players(); ++p) {
                 for (std::size_t a = 0; a < g.num_actions(p); ++a) {
-                    if (a % 4 != 3) kept[p].push_back(a);
+                    if (a % 4 != 0) kept[p].push_back(a);
                 }
             }
             return g.restrict_view(kept);
-        }
+        case ViewKind::kRandomRestricted:
+            for (std::size_t p = 0; p < g.num_players(); ++p) {
+                kept[p] = random_kept(rng, g.num_actions(p));
+            }
+            return g.restrict_view(kept);
         case ViewKind::kPermuted: {
             std::vector<std::size_t> order(g.num_players());
             for (std::size_t p = 0; p < order.size(); ++p) order[p] = order.size() - 1 - p;
@@ -232,7 +240,10 @@ TEST_P(EngineViewSweeps, BitIdenticalToMaterialized) {
     const auto& c = GetParam();
     util::Rng rng{c.seed};
     const auto g = NormalFormGame::random(c.shape, rng, -5, 5);
-    const GameView view = view_of(g, c.kind);
+    const GameView view = view_of(g, c.kind, rng);
+    if (c.kind == ViewKind::kRestricted || c.kind == ViewKind::kRandomRestricted) {
+        ASSERT_LT(view.num_profiles(), g.num_profiles()) << "the case restricts nothing";
+    }
     const auto materialized = view.materialize();
     const PayoffEngine on_view(view);
     const PayoffEngine dense(materialized);
@@ -284,6 +295,14 @@ std::vector<ViewSweepCase> view_sweep_cases() {
             }
         }
     }
+    // Ten seeded random restrictions of small 3-player games.
+    util::Rng shapes{23};
+    for (std::uint64_t trial = 0; trial < 10; ++trial) {
+        const auto shape = random_shape(shapes, 3);
+        for (const auto mode : {SweepMode::kSerial, SweepMode::kAuto}) {
+            cases.push_back(ViewSweepCase{shape, 100 + trial, ViewKind::kRandomRestricted, mode});
+        }
+    }
     return cases;
 }
 
@@ -293,7 +312,8 @@ INSTANTIATE_TEST_SUITE_P(Views, EngineViewSweeps, testing::ValuesIn(view_sweep_c
 TEST(GameView, MultiBlockCasesSpanSeveralBlocks) {
     util::Rng rng{37};
     const auto g = NormalFormGame::random({200, 200}, rng, -5, 5);
-    EXPECT_GT(view_of(g, ViewKind::kRestricted).num_profiles(), PayoffEngine::kParallelBlock);
+    EXPECT_GT(view_of(g, ViewKind::kRestricted, rng).num_profiles(),
+              PayoffEngine::kParallelBlock);
 }
 
 TEST(GameView, ViewSweepValidatesProfileShape) {
